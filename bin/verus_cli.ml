@@ -18,11 +18,6 @@
      verus_cli ladders         (the built-in escalation ladders, rung by rung)
      verus_cli help
 
-   --deadline SECS / --max-rounds N remain accepted on verify / profile /
-   client as deprecated sugar: they resolve to a single-rung ladder
-   carrying the overridden absolute budget (Vladder.Ladder.of_budget),
-   and cannot be combined with --ladder / --rung.
-
    The verification cache directory comes from --cache DIR or, when the
    flag is absent, the VERUS_CACHE environment variable; --no-cache turns
    caching off regardless.
@@ -31,7 +26,7 @@
    front-end error, or a strict-mode lint), 2 usage error, 3 budget
    exhausted — every failed obligation is Unknown (solver deadline /
    round budget), none refuted.  Distinguishing 3 from 1 lets CI retry
-   with a bigger --deadline instead of reporting a counterexample.  The
+   at a stronger --ladder / --rung instead of reporting a counterexample.  The
    cache subcommands use 4 for I/O problems (unreadable/corrupt store,
    failed delete) — distinct from 0 so scripts notice, distinct from 1
    so it is never mistaken for a verification failure.  Under --certify,
@@ -62,9 +57,6 @@ let usage oc =
     \      --ladder runs each obligation up a named escalation ladder\n\
     \      (see `verus_cli ladders`): cheap rungs first, escalating on\n\
     \      non-Unsat; --rung N pins every obligation to one rung instead;\n\
-    \      --deadline SECS / --max-rounds N are deprecated sugar for a\n\
-    \      single-rung ladder with an overridden budget (cannot be\n\
-    \      combined with --ladder / --rung);\n\
     \      --cache DIR (or VERUS_CACHE) reuses cached VC results across runs\n\
     \      (with a ladder, the cache also remembers each obligation's\n\
     \      winning rung, so warm runs skip straight to it);\n\
@@ -102,8 +94,7 @@ let usage oc =
     \      send one request to a running daemon; job verdicts stream as they\n\
     \      land and the process exits with the daemon's exit_code (the same\n\
     \      0/1/3/5 as local verify), or 6 on connection/protocol failure;\n\
-    \      --ladder / --rung and the deprecated --deadline / --max-rounds\n\
-    \      sugar behave exactly as in local verify\n\
+    \      --ladder / --rung behave exactly as in local verify\n\
     \  list\n\
     \      list bundled programs and profiles\n\
     \  codes\n\
@@ -169,20 +160,14 @@ let cmd_ladders () =
             (Verus.Driver.Rung.fingerprint r))
         (Verus.Driver.Ladder.rungs l))
     Verus.Driver.Ladder.builtins;
-  print_endline
-    "(--rung N pins every obligation to rung N; --deadline/--max-rounds build a\n\
-    \ deprecated single-rung ladder named budget-override)";
+  print_endline "(--rung N pins every obligation to rung N)";
   exit 0
 
 (* One resolver for automation strength, shared with the daemon's request
    handler (Vservice.resolve_ladder): --ladder names a built-in, --rung
-   pins one rung of it, and the deprecated --deadline / --max-rounds
-   sugar becomes a single-rung ladder over the profile's budget. *)
-let ladder_override profile ~ladder ~rung ~deadline ~max_rounds =
-  match
-    Verus.Vservice.resolve_ladder profile ~ladder ~rung ~deadline_s:deadline
-      ~max_rounds
-  with
+   pins one rung of it. *)
+let ladder_override ~ladder ~rung =
+  match Verus.Vservice.resolve_ladder ~ladder ~rung with
   | Ok l -> l
   | Error msg -> die_usage "%s" msg
 
@@ -249,8 +234,6 @@ let cmd_verify args =
   let fn_filter = ref None in
   let jobs = ref 1 in
   let lint = ref Verus.Driver.Lint_ignore in
-  let deadline = ref None in
-  let max_rounds = ref None in
   let ladder_name = ref None in
   let rung = ref None in
   let cache_dir = ref None in
@@ -282,16 +265,6 @@ let cmd_verify args =
     | "--prescreen" :: rest ->
       prescreen := true;
       parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
     | "--jobs" :: v :: rest ->
       (match int_of_string_opt v with
       | Some n when n >= 1 -> jobs := n
@@ -315,14 +288,11 @@ let cmd_verify args =
   let prog = apply_fn_filter (find_program prog_name) !fn_filter in
   let config =
     {
-      Verus.Driver.Config.default with
-      Verus.Driver.Config.jobs = !jobs;
-      lint = !lint;
+      (Verus.Driver.Config.with_jobs !jobs Verus.Driver.Config.default) with
+      Verus.Driver.Config.lint = !lint;
       certify = !certify;
       analyze = !prescreen;
-      ladder =
-        ladder_override profile ~ladder:!ladder_name ~rung:!rung ~deadline:!deadline
-          ~max_rounds:!max_rounds;
+      ladder = ladder_override ~ladder:!ladder_name ~rung:!rung;
       cache =
         Option.map
           (fun dir -> { Verus.Vcache.dir })
@@ -378,7 +348,7 @@ let cmd_verify args =
        total);
   (* A run that failed *only* on Unknown answers (solver deadline /
      instantiation budget) is a budget exhaustion, not a refutation: exit
-     3 so callers can distinguish "needs a bigger --deadline" from "has a
+     3 so callers can distinguish "needs a stronger rung" from "has a
      counterexample". *)
   Printf.printf "== %s / %s: %s in %.3fs, %d query bytes\n" prog_name
     profile.Verus.Profiles.name
@@ -474,8 +444,6 @@ let cmd_profile args =
   let json = ref false in
   let top = ref 10 in
   let liberal = ref false in
-  let deadline = ref None in
-  let max_rounds = ref None in
   let ladder_name = ref None in
   let rung = ref None in
   let cache_dir = ref None in
@@ -510,16 +478,6 @@ let cmd_profile args =
     | "--fn" :: v :: rest ->
       fn_filter := Some v;
       parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
     | "--jobs" :: v :: rest ->
       (match int_of_string_opt v with
       | Some n when n >= 1 -> jobs := n
@@ -539,19 +497,14 @@ let cmd_profile args =
      the measured hot-spots against; warn never aborts the run. *)
   let config =
     {
-      Verus.Driver.Config.jobs = !jobs;
-      lint = Verus.Driver.Lint_warn;
+      (Verus.Driver.Config.with_jobs !jobs Verus.Driver.Config.default) with
+      Verus.Driver.Config.lint = Verus.Driver.Lint_warn;
       profile = true;
-      certify = false;
-      analyze = false;
-      ladder =
-        ladder_override profile ~ladder:!ladder_name ~rung:!rung ~deadline:!deadline
-          ~max_rounds:!max_rounds;
+      ladder = ladder_override ~ladder:!ladder_name ~rung:!rung;
       cache =
         Option.map
           (fun dir -> { Verus.Vcache.dir })
           (resolve_cache_dir ~no_cache:!no_cache ~cache_dir:!cache_dir);
-      sched = None;
     }
   in
   let r = Verus.Driver.verify_program ~config profile prog in
@@ -791,8 +744,6 @@ let cmd_client args =
   let certify = ref false in
   let prescreen = ref false in
   let no_cache = ref false in
-  let deadline = ref None in
-  let max_rounds = ref None in
   let ladder_name = ref None in
   let rung = ref None in
   let stream = ref true in
@@ -828,16 +779,6 @@ let cmd_client args =
     | "--no-stream" :: rest ->
       stream := false;
       parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
     | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
     | a :: rest ->
       (if !meth = None then meth := Some a
@@ -851,9 +792,8 @@ let cmd_client args =
     let program = match !prog_name with Some p -> p | None -> "singly_linked" in
     Verusd.Rpc.M_job
       (Verusd.Rpc.query ?profile:!profile_name ?lint:!lint ~certify:!certify
-         ~analyze:!prescreen ~cache:(not !no_cache) ?deadline_s:!deadline
-         ?max_rounds:!max_rounds ?ladder:!ladder_name ?rung:!rung ~stream:!stream
-         kind program)
+         ~analyze:!prescreen ~cache:(not !no_cache) ?ladder:!ladder_name ?rung:!rung
+         ~stream:!stream kind program)
   in
   let method_ =
     match !meth with

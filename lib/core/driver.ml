@@ -81,46 +81,37 @@ type lint_mode = Lint_ignore | Lint_warn | Lint_strict
 type progress = Vc_done of string * vc_result | Fn_done of fn_result
 
 module Config = struct
+  type pool = Inline | Domains of int | Borrowed of Verusd.Sched.t
+
   type t = {
-    jobs : int;
+    pool : pool;
     lint : lint_mode;
     profile : bool;
     cache : Vcache.config option;
     ladder : Vladder.Ladder.t option;
     certify : bool;
     analyze : bool;
-    sched : Verusd.Sched.t option;
   }
 
   let default =
     {
-      jobs = 1;
+      pool = Inline;
       lint = Lint_ignore;
       profile = false;
       cache = None;
       ladder = None;
       certify = false;
       analyze = false;
-      sched = None;
     }
 
-  let with_jobs jobs c = { c with jobs }
+  let with_jobs jobs c = { c with pool = (if jobs <= 1 then Inline else Domains jobs) }
   let with_lint lint c = { c with lint }
   let with_profile profile c = { c with profile }
   let with_cache dir c = { c with cache = Some { Vcache.dir } }
-  let without_cache c = { c with cache = None }
   let with_ladder l c = { c with ladder = Some l }
-  let without_ladder c = { c with ladder = None }
-
-  (* Deprecated single-rung wrapper: a budget override is exactly a
-     one-rung ladder whose rung carries the absolute budget (test-pinned
-     equivalent in test_vladder). *)
-  let with_budget b c = with_ladder (Vladder.Ladder.of_budget b) c
-
   let with_certify certify c = { c with certify }
   let with_analyze analyze c = { c with analyze }
-  let with_sched s c = { c with sched = Some s }
-  let without_sched c = { c with sched = None }
+  let with_sched s c = { c with pool = Borrowed s }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -214,8 +205,8 @@ type vc_env = {
           the steering signal that skips liberal-trigger rungs *)
 }
 
-let make_env ?(profile = false) ?(certify = false) ?(analyze = false) ?cache ?ladder
-    ?(vl010 = []) (p : Profiles.t) (prog : program) ~axioms ~ax_index =
+let make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 (p : Profiles.t) (prog : program)
+    ~axioms ~ax_index =
   {
     ev_profile = profile;
     ev_certify = certify;
@@ -652,15 +643,6 @@ let attempt_vc env (pd : pending) : step =
       }
   end
 
-(* Drive one obligation's climb to completion inline — the sequential
-   path; the scheduler version resubmits each [Escalated] instead. *)
-let run_vc env (vc : Encode.vc) : vc_result =
-  let rec go = function
-    | Finished r -> r
-    | Escalated pd -> go (attempt_vc env pd)
-  in
-  go (start_vc env vc)
-
 let cert_ok r =
   match r.vcr_cert with Cert_rejected _ | Cert_unavailable _ -> false | _ -> true
 
@@ -693,17 +675,6 @@ let fn_result_of_vcs (fd : fndecl) ~profile (results : vc_result list) : fn_resu
     fnr_bytes = List.fold_left (fun acc r -> acc + r.vcr_bytes) 0 results;
     fnr_prof;
   }
-
-let verify_function_with_axioms ?profile ?certify ?analyze ?cache ?ladder ?vl010
-    (p : Profiles.t) (prog : program) ~axioms ~ax_index (fd : fndecl) : fn_result =
-  let env = make_env ?profile ?certify ?analyze ?cache ?ladder ?vl010 p prog ~axioms ~ax_index in
-  let vcs = Encode.encode_function p prog fd in
-  let results = List.map (run_vc env) vcs in
-  fn_result_of_vcs fd ~profile:env.ev_profile results
-
-let verify_function ?profile (p : Profiles.t) (prog : program) (fd : fndecl) : fn_result =
-  let axioms = Encode.program_axioms p prog in
-  verify_function_with_axioms ?profile p prog ~axioms ~ax_index:(axiom_index_table axioms) fd
 
 (* ------------------------------------------------------------------ *)
 (* Program-level profile aggregation                                    *)
@@ -770,9 +741,7 @@ let aggregate_program_profile (p : Profiles.t) ~axioms (fns : fn_result list) :
 let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
     (prog : program) : program_result =
   let t0 = Unix.gettimeofday () in
-  let { Config.jobs; lint; profile; cache = cache_cfg; ladder; certify; analyze; sched } =
-    config
-  in
+  let { Config.pool; lint; profile; cache = cache_cfg; ladder; certify; analyze } = config in
   (* Static analysis first: in [Lint_strict] mode Error-severity findings
      abort before any SMT work (fail fast); [Lint_warn] records them in
      [pr_lint] without affecting the verdict. *)
@@ -822,7 +791,7 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
       | _ -> []
     in
     let env =
-      make_env ~profile ~certify ~analyze ?cache ?ladder ~vl010 p prog ~axioms ~ax_index
+      make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 p prog ~axioms ~ax_index
     in
     let targets =
       List.filter (fun fd -> fd.fmode <> Spec && fd.body <> None) prog.functions
@@ -830,11 +799,11 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
     (* Obligation scheduling.  One {!Verusd.Sched.batch} covers the
        whole program: a per-function task encodes the function and then
        submits one solve task per VC into the same batch; [Sched.await]
-       is the barrier.  The batch runs on the caller's long-lived pool
-       ([config.sched], the daemon's warm pool), on a transient pool of
-       [config.jobs] domains (the CLI's [--jobs]), or inline when
-       [jobs <= 1] — three executions of the same code path, so
-       verdicts and {!result_digest} are identical whichever ran.
+       is the barrier.  The batch runs per [config.pool]: inline, on a
+       transient pool of [n] domains (the CLI's [--jobs]), or on the
+       caller's long-lived pool (the daemon's warm pool) — three
+       executions of the same code path, so verdicts and
+       {!result_digest} are identical whichever ran.
 
        Encoding inside the scheduled task (rather than up front) is
        load-bearing: proof certificates are sensitive to global
@@ -917,19 +886,17 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
       done;
       Verusd.Sched.await b
     in
-    (match sched with
-    | Some pool -> go (fun task -> Verusd.Sched.submit pool b task)
-    | None ->
-      if jobs <= 1 || nfns = 0 then go (fun task -> Verusd.Sched.submit_now b task)
-      else begin
-        (* Domains are not capped at the function count: obligations are
-           stolen at VC granularity, so extra domains still help a
-           single many-VC function. *)
-        let pool = Verusd.Sched.create ~domains:jobs in
-        Fun.protect
-          ~finally:(fun () -> Verusd.Sched.shutdown pool)
-          (fun () -> go (fun task -> Verusd.Sched.submit pool b task))
-      end);
+    (match pool with
+    | Config.Borrowed pool -> go (fun task -> Verusd.Sched.submit pool b task)
+    | Config.Domains n when nfns > 0 ->
+      (* Domains are not capped at the function count: obligations are
+         stolen at VC granularity, so extra domains still help a single
+         many-VC function. *)
+      let pool = Verusd.Sched.create ~domains:n in
+      Fun.protect
+        ~finally:(fun () -> Verusd.Sched.shutdown pool)
+        (fun () -> go (fun task -> Verusd.Sched.submit pool b task))
+    | Config.Inline | Config.Domains _ -> go (fun task -> Verusd.Sched.submit_now b task));
     let results = Array.to_list fn_out |> List.filter_map Fun.id in
     let pr_cache =
       match cache with
@@ -1060,10 +1027,6 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
       pr_ladder;
     }
   end
-
-let verify_program_opts ?(jobs = 1) ?(lint = Lint_ignore) ?(profile = false) (p : Profiles.t)
-    (prog : program) : program_result =
-  verify_program ~config:{ Config.default with Config.jobs; lint; profile } p prog
 
 (* How many obligations the Vflow prescreen discharged without a solver
    query — the numerator of the bench ablation's discharge rate. *)

@@ -122,7 +122,7 @@ type program_profile = {
   pp_smt : Smt.Profile.t;
       (** all per-VC solver profiles merged; [pp_smt.quants] is the top-k
           table source, hottest first, deterministically ordered (stable
-          under [jobs > 1]) *)
+          on any pool) *)
   pp_axiom_costs : axiom_cost list;
       (** per-axiom context-bytes attribution, sorted by [ac_bytes]
           descending then [ac_index] *)
@@ -198,10 +198,19 @@ type progress =
     builders; the CLI, the daemon, the benchmark harness and the test
     suites all feed the same record to {!verify_program}. *)
 module Config : sig
+  (** Where a run's obligations execute.  Verdicts and {!result_digest}
+      are identical whichever runs them. *)
+  type pool =
+    | Inline  (** on the calling domain, one after another *)
+    | Domains of int
+        (** on a transient work-stealing pool of [n] domains, spawned for
+            this run and shut down after it (Figure 9) *)
+    | Borrowed of Verusd.Sched.t
+        (** on a long-lived pool the caller owns and shuts down — how the
+            daemon amortizes domain start-up across requests *)
+
   type t = {
-    jobs : int;
-        (** parallel verification domains (Figure 9); ignored when
-            [sched] supplies a pool *)
+    pool : pool;
     lint : lint_mode;  (** static analysis before SMT work *)
     profile : bool;  (** retain per-VC solver profiles *)
     cache : Vcache.config option;  (** persistent VC-result cache, if any *)
@@ -231,60 +240,38 @@ module Config : sig
             Prescreened runs salt the cache fingerprint with
             {!Vflow.version}.  Ignored (demoted to plain SMT) under
             [certify] — the prescreen has no replayable certificate. *)
-    sched : Verusd.Sched.t option;
-        (** when [Some], schedule this run's obligations on the given
-            long-lived work-stealing pool instead of spawning domains per
-            run — how the daemon amortizes domain start-up across
-            requests.  The pool is borrowed, never shut down; [jobs] is
-            ignored.  Verdicts and {!result_digest} are identical either
-            way. *)
   }
 
   val default : t
-  (** [jobs = 1], no lint, no profiling, no cache, no ladder (profile's
-      own configuration, once per obligation), no certification, no
-      external pool. *)
+  (** [Inline], no lint, no profiling, no cache, no ladder (profile's own
+      configuration, once per obligation), no certification, no
+      prescreen. *)
 
   val with_jobs : int -> t -> t
+  (** [Domains n] for [n > 1], [Inline] otherwise (the CLI's [--jobs]). *)
+
   val with_lint : lint_mode -> t -> t
   val with_profile : bool -> t -> t
 
   val with_cache : string -> t -> t
   (** Enable the verification cache in the given directory. *)
 
-  val without_cache : t -> t
-
   val with_ladder : Vladder.Ladder.t -> t -> t
-  (** The one entry point for automation strength: every knob that used
-      to be a separate budget/deadline surface is a rung of the ladder
-      installed here. *)
-
-  val without_ladder : t -> t
-
-  val with_budget : Smt.Solver.budget -> t -> t
-  [@@ocaml.deprecated "use with_ladder (Vladder.Ladder.of_budget b)"]
-  (** Deprecated budget-override surface, kept as a thin wrapper:
-      equivalent to [with_ladder (Vladder.Ladder.of_budget b)] — a
-      single-rung ladder carrying the absolute budget (pinned equivalent
-      by test). *)
+  (** The one entry point for automation strength: a run that needs a
+      cheaper or stronger solver configuration than the profile's climbs
+      (or pins) a ladder installed here. *)
 
   val with_certify : bool -> t -> t
   val with_analyze : bool -> t -> t
 
   val with_sched : Verusd.Sched.t -> t -> t
-  (** Borrow a long-lived obligation pool for this run's scheduling. *)
-
-  val without_sched : t -> t
+  (** [Borrowed]: run on the caller's long-lived pool. *)
 end
 
 val context_for :
   Profiles.t -> Vir.program -> Encode.vc -> Smt.Term.t list
 (** Theory axioms + spec-function definitions for one VC, pruned to the
     symbols reachable from the VC when the profile prunes. *)
-
-val verify_function : ?profile:bool -> Profiles.t -> Vir.program -> Vir.fndecl -> fn_result
-(** Verify one function.  [~profile] (default [false]) retains per-VC
-    solver profiles in [vcr_prof]/[fnr_prof]. *)
 
 val verify_program :
   ?config:Config.t ->
@@ -294,12 +281,10 @@ val verify_program :
   program_result
 (** The one entry point.  Runs [Vlint] (per [config.lint]) and the
     front-end checks, then encodes every target function, flattens the
-    obligations into one batch, and schedules the batch: on
-    [config.sched]'s pool when supplied, on a transient
-    {!Verusd.Sched} pool of [config.jobs] domains when [jobs > 1] (the
-    paper's 8-core column in Figure 9), inline otherwise.  All three
-    paths share one code path, so per-program verdicts and
-    {!result_digest} are identical whichever ran.
+    obligations into one batch, and schedules the batch per
+    [config.pool] (the paper's 8-core column in Figure 9 is
+    [Domains 8]).  All three pools share one code path, so per-program
+    verdicts and {!result_digest} are identical whichever ran.
 
     Under an explicit [config.ladder], each obligation climbs the ladder
     as a chain of dynamically submitted tasks: an attempt that must
@@ -320,16 +305,9 @@ val verify_program :
     [pr_prof]; the aggregation is keyed on stable quantifier labels, so
     the resulting tables are identical whichever domain finished first.
     [config.cache] opens the persistent VC cache before solving, serves
-    hits from its load-time snapshot (statistics are deterministic under
-    [jobs > 1]), and atomically flushes new entries at the end;
+    hits from its load-time snapshot (statistics are deterministic on
+    any pool), and atomically flushes new entries at the end;
     [pr_cache] reports the counters. *)
-
-val verify_program_opts :
-  ?jobs:int -> ?lint:lint_mode -> ?profile:bool -> Profiles.t -> Vir.program -> program_result
-[@@ocaml.deprecated "use verify_program ~config (Driver.Config)"]
-(** The pre-[Config] optional-argument signature, kept as a thin wrapper
-    for external callers mid-migration.  Equivalent to [verify_program
-    ~config:{ default with jobs; lint; profile }]. *)
 
 val result_digest : program_result -> string
 (** Content digest of everything a verification run {e decided} — per-VC

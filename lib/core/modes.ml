@@ -119,10 +119,10 @@ let translate_bv ~width (goal : T.t) : T.t =
   tr_bool goal
 
 (* Every mode that searches takes the same {!Smt.Solver.budget} record
-   the main solver, the EPR grounding and the CLI flags use; a mode with
+   the main solver, the EPR grounding and the ladder rungs use; a mode with
    nothing to bound ([compute]) still accepts it so the driver can thread
    one budget everywhere uniformly. *)
-let config_of_budget budget =
+let solver_config budget =
   match budget with
   | None -> Smt.Solver.default_config
   | Some b -> { Smt.Solver.default_config with Smt.Solver.budget = b }
@@ -131,7 +131,7 @@ let config_of_budget budget =
    isolated query runs with proof recording on and the Unsat certificate
    rides back with the outcome; certify-off callers pay nothing. *)
 let solve_outcome ~certify ~budget ~refuted assertions =
-  let base = config_of_budget budget in
+  let base = solver_config budget in
   let config = if certify then { base with Smt.Solver.certify = true } else base in
   let r = Smt.Solver.solve ~config assertions in
   match r.Smt.Solver.answer with

@@ -71,9 +71,9 @@ val budget : t -> Smt.Solver.budget
 
 val with_budget : Smt.Solver.budget -> t -> t
 (** The profile with its solver budgets replaced (trigger policy and
-    every encoding choice kept).  This is how the CLI's
-    [--deadline]/[--max-rounds] overrides and {!Driver.Config.budget}
-    are applied. *)
+    every encoding choice kept): a capped profile for benches and tests.
+    Per-run automation strength is a ladder rung instead
+    ({!Driver.Config.with_ladder}). *)
 
 val solver_fingerprint : t -> string
 (** Canonical rendering of the profile facets that can change a VC's

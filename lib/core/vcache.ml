@@ -404,7 +404,7 @@ let fingerprint ?(analyze = false) ?ladder ~(profile : Profiles.t) ~(prog : Vir.
   (* /2: the entry schema gained the winning-rung key and ladder-salted
      keys joined the space — pre-ladder entries must re-solve rather than
      replay under a key computed by different rules. *)
-  Smt.Canon.add_string s "verus-cache-fp/2";
+  Smt.Canon.add_string s "verus-cache-fp/3";
   (* The certificate schema is part of the key: bumping the cert format
      must invalidate every entry, or a warm hit could claim its stored
      digest names a certificate the current kernel would accept. *)

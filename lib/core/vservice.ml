@@ -51,7 +51,7 @@ let find_profile name =
 
 (* A run that failed *only* on Unknown answers (solver deadline /
    instantiation budget) is a budget exhaustion, not a refutation: exit
-   3 so callers can distinguish "needs a bigger --deadline" from "has a
+   3 so callers can distinguish "needs a stronger rung" from "has a
    counterexample". *)
 let budget_only (r : Driver.program_result) =
   (not r.Driver.pr_ok)
@@ -106,9 +106,6 @@ let create ~domains ?cache_dir () =
     n_requests = Atomic.make 0;
   }
 
-let sched t = t.pool
-let domains t = Verusd.Sched.domain_count t.pool
-let requests t = Atomic.get t.n_requests
 let shutdown t = Verusd.Sched.shutdown t.pool
 
 (* ---------------------------- job runners --------------------------- *)
@@ -141,30 +138,10 @@ let kind_string = function
   | Rpc.Profile -> "profile"
 
 (* The one resolver for automation strength, shared by the daemon and
-   the CLI: a ladder name and/or rung pin, or the deprecated
-   deadline/max_rounds sugar (a single-rung ladder carrying the
-   absolute budget).  Combining the two surfaces is an error — the
-   sugar is a ladder, so "both" has no coherent meaning. *)
-let resolve_ladder (profile : Profiles.t) ~ladder ~rung ~deadline_s ~max_rounds :
-    (Vladder.Ladder.t option, string) result =
-  let has_budget = deadline_s <> None || max_rounds <> None in
+   the CLI: a ladder name and/or a rung pin. *)
+let resolve_ladder ~ladder ~rung : (Vladder.Ladder.t option, string) result =
   match (ladder, rung) with
-  | None, None ->
-    if not has_budget then Ok None
-    else
-      let b = Profiles.budget profile in
-      let b =
-        {
-          b with
-          Smt.Solver.deadline_s = Option.value ~default:b.Smt.Solver.deadline_s deadline_s;
-          Smt.Solver.max_rounds = Option.value ~default:b.Smt.Solver.max_rounds max_rounds;
-        }
-      in
-      Ok (Some (Vladder.Ladder.of_budget b))
-  | _ when has_budget ->
-    Error
-      "deadline/max_rounds are deprecated sugar for a single-rung ladder and cannot be \
-       combined with ladder/rung"
+  | None, None -> Ok None
   | _ ->
     let base =
       match ladder with
@@ -181,10 +158,6 @@ let resolve_ladder (profile : Profiles.t) ~ladder ~rung ~deadline_s ~max_rounds 
         match rung with
         | None -> Ok (Some l)
         | Some r -> Result.map Option.some (Vladder.Ladder.pin l r))
-
-let ladder_of_query (profile : Profiles.t) (q : Rpc.query) =
-  resolve_ladder profile ~ladder:q.Rpc.q_ladder ~rung:q.Rpc.q_rung
-    ~deadline_s:q.Rpc.q_deadline_s ~max_rounds:q.Rpc.q_max_rounds
 
 let ladder_stats_json (r : Driver.program_result) =
   match r.Driver.pr_ladder with
@@ -255,7 +228,6 @@ let run_verify_job t ~emit ~id ~(q : Rpc.query) ~ladder (profile : Profiles.t) p
   let is_profile = q.Rpc.q_kind = Rpc.Profile in
   let config =
     {
-      Driver.Config.default with
       Driver.Config.lint =
         (* A profile job always lints in warn mode: the VL010 cross-check
            needs findings to compare measured hot-spots against. *)
@@ -268,7 +240,7 @@ let run_verify_job t ~emit ~id ~(q : Rpc.query) ~ladder (profile : Profiles.t) p
         (match t.cache_dir with
         | Some dir when q.Rpc.q_cache -> Some { Vcache.dir }
         | _ -> None);
-      sched = Some t.pool;
+      pool = Driver.Config.Borrowed t.pool;
     }
   in
   let on_progress =
@@ -370,7 +342,7 @@ let handler t : Verusd.Server.handler =
       send (Rpc.E_error { Rpc.code = "RPC004"; message = msg });
       Verusd.Server.Continue
     | Ok prog, Ok profile -> (
-      match ladder_of_query profile q with
+      match resolve_ladder ~ladder:q.Rpc.q_ladder ~rung:q.Rpc.q_rung with
       | Error msg ->
         send (Rpc.E_error { Rpc.code = "RPC004"; message = msg });
         Verusd.Server.Continue

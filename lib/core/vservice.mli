@@ -35,20 +35,12 @@ val find_profile : string -> (Profiles.t, string) result
     ["F*/Low*"]. *)
 
 val resolve_ladder :
-  Profiles.t ->
-  ladder:string option ->
-  rung:int option ->
-  deadline_s:float option ->
-  max_rounds:int option ->
-  (Vladder.Ladder.t option, string) result
+  ladder:string option -> rung:int option -> (Vladder.Ladder.t option, string) result
 (** The one resolver for automation strength, shared by the daemon's
     request handler and the CLI's flag parsing.  [ladder] names a
     {!Vladder.Ladder.builtins} entry; [rung] pins every obligation to
     one rung of it (of the default ["escalate"] ladder when [ladder] is
-    absent); [deadline_s]/[max_rounds] are the deprecated budget sugar,
-    resolved to a single-rung {!Vladder.Ladder.of_budget} ladder over
-    the profile's own budget.  Combining the sugar with [ladder]/[rung]
-    is an error, as are unknown names and out-of-range rungs.  All
+    absent).  Unknown names and out-of-range rungs are errors.  Both
     [None] resolves to [Ok None] — the implicit identity ladder. *)
 
 (** {2 Exit-code policy}
@@ -59,8 +51,8 @@ val resolve_ladder :
 
 val budget_only : Driver.program_result -> bool
 (** The run failed {e only} on [Unknown] answers (solver deadline /
-    instantiation budget) — exit 3, "needs a bigger [--deadline]",
-    never mistaken for a counterexample. *)
+    instantiation budget) — exit 3, "needs a stronger rung", never
+    mistaken for a counterexample. *)
 
 val cert_failed : Driver.program_result -> bool
 (** Some obligation's certificate was rejected or missing under
@@ -75,42 +67,6 @@ val result_exit_code : Driver.program_result -> int
 (** [0] verified / [1] failed / [3] budget exhausted / [5] certificate
     rejected. *)
 
-(** {2 The engine} *)
-
-type t
-(** One daemon engine: a warm {!Verusd.Sched} pool shared by every
-    request, an optional shared cache directory, and lifetime
-    counters.  Thread-safe — the server dispatches concurrent
-    connections into the same engine and their obligations interleave
-    in the same pool. *)
-
-val create : domains:int -> ?cache_dir:string -> unit -> t
-(** Spawn the engine's worker pool ([domains >= 1]).  [cache_dir], when
-    given, is the persistent verification cache every job with
-    [q_cache = true] shares — the second client onto a warm daemon hits
-    in it without re-solving. *)
-
-val sched : t -> Verusd.Sched.t
-
-val domains : t -> int
-
-val requests : t -> int
-(** Requests handled so far (snapshot; the counter is atomic). *)
-
-val shutdown : t -> unit
-(** Stop and join the pool's workers.  Idempotent. *)
-
-val handler : t -> Verusd.Server.handler
-(** The request brain, ready to plug into {!Verusd.Server.serve}:
-    [ping] answers [pong]; [status] answers a document with uptime,
-    request and scheduler counters; [verify]/[lint]/[profile] run the
-    job on the shared pool, streaming [vc] / [fn] events as obligations
-    complete (when the query asks to stream) and terminating with a
-    [done] event carrying the verdict, digest and exit code;
-    [shutdown] acknowledges with [done] and returns
-    {!Verusd.Server.Stop}.  Unknown program or profile names answer
-    [RPC004] and keep the connection open. *)
-
 val validate_daemon_bench : Vbase.Json.t -> (unit, string) Stdlib.result
 (** Validate a [BENCH_daemon.json] document against the
     [verus-daemon-bench/1] schema the bench harness's [daemon] section
@@ -120,10 +76,20 @@ val validate_daemon_bench : Vbase.Json.t -> (unit, string) Stdlib.result
     count.  The harness self-validates what it writes, so the emitted
     schema and the checked schema cannot drift apart. *)
 
+(** {2 The daemon} *)
+
 val serve : socket_path:string -> domains:int -> ?cache_dir:string -> unit -> (unit, string) result
-(** Run a complete daemon in the calling thread: create the engine and
-    the server, serve until a [shutdown] request (or
-    {!Verusd.Server.shutdown} from another thread), then tear both
-    down.  [Error msg] if the socket cannot be bound (e.g. a live
-    daemon already owns it).  This is the whole body of the [verusd]
-    binary and of [verus_cli daemon]. *)
+(** Run a complete daemon in the calling thread: spawn the engine's warm
+    {!Verusd.Sched} pool of [domains] workers, bind the server, serve
+    until a [shutdown] request (or {!Verusd.Server.shutdown} from
+    another thread), then tear both down.  Every request shares the
+    pool, and every job with [q_cache = true] shares the verification
+    cache in [cache_dir] — the second client onto a warm daemon hits in
+    it without re-solving.  [ping] answers [pong]; [status] answers
+    uptime, request and scheduler counters; [verify]/[lint]/[profile]
+    stream [vc] / [fn] events as obligations complete (when the query
+    asks to stream) and end with a [done] event carrying the verdict,
+    digest and exit code; unknown program, profile or ladder names
+    answer [RPC004] and keep the connection open.  [Error msg] if the
+    socket cannot be bound (e.g. a live daemon already owns it).  This
+    is the whole body of the [verusd] binary and of [verus_cli daemon]. *)

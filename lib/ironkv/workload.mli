@@ -171,7 +171,7 @@ val crosscheck_report :
   storm_report * (unit, string) Stdlib.result
 (** {!crosscheck} plus the storm accounting (crash/torn/partition/
     recovery counts, replayed records, readback size) — what the storm
-    tests assert on and [kv_smoke] prints. *)
+    tests assert on and [smoke.exe kv] prints. *)
 
 val recovery_probe : ?records:int -> ?payload:int -> ?group:int -> unit -> float * int
 (** Isolated recovery-time measurement: append [records] Set records

@@ -13,6 +13,13 @@
       {e within the serialized payload}: distinct symbols stay distinct,
       identical structure serializes identically, and the numbering no
       longer depends on global construction order.
+    - {b Hash-consing orders commutative operands by term id.}
+      [Term.eq] and [Term.mul] store their operands id-first, and ids
+      depend on which terms the process happened to build before, so the
+      same VC could be stored as [(= x 4242)] in one process and
+      [(= 4242 x)] in another.  Here both operands are emitted in the
+      order of a structural key that ignores ids (fresh symbols key by
+      prefix), memoised per serializer.
     - {b Sorts are invisible.}  The pretty-printer renders applications by
       name only; a program edit that changes a symbol's sort while leaving
       the printed tree unchanged must not produce the same fingerprint, so

@@ -22,9 +22,9 @@
     report [Unknown]. *)
 
 (** Every search budget of the verification stack, in one record.  The
-    driver, the EPR decision procedure, the §3.3 custom modes and the CLI's
-    [--deadline]/[--max-rounds] flags all consume this same record — there
-    is exactly one place a budget knob can live. *)
+    driver, the EPR decision procedure, the §3.3 custom modes and every
+    escalation-ladder rung consume this same record — there is exactly one
+    place a budget knob can live. *)
 type budget = {
   deadline_s : float;  (** wall-clock budget per solve (timeout -> Unknown) *)
   max_rounds : int;  (** instantiation rounds before giving up *)

@@ -30,8 +30,6 @@ type query = {
   q_certify : bool;
   q_analyze : bool;
   q_cache : bool;
-  q_deadline_s : float option;
-  q_max_rounds : int option;
   q_ladder : string option;
   q_rung : int option;
   q_stream : bool;
@@ -44,7 +42,7 @@ type request = { r_id : int; r_method : method_ }
 let request ?(id = 0) m = { r_id = id; r_method = m }
 
 let query ?(profile = "Verus") ?(lint = Lint_off) ?(certify = false) ?(analyze = false)
-    ?(cache = true) ?deadline_s ?max_rounds ?ladder ?rung ?(stream = true) kind program =
+    ?(cache = true) ?ladder ?rung ?(stream = true) kind program =
   {
     q_kind = kind;
     q_program = program;
@@ -53,8 +51,6 @@ let query ?(profile = "Verus") ?(lint = Lint_off) ?(certify = false) ?(analyze =
     q_certify = certify;
     q_analyze = analyze;
     q_cache = cache;
-    q_deadline_s = deadline_s;
-    q_max_rounds = max_rounds;
     q_ladder = ladder;
     q_rung = rung;
     q_stream = stream;
@@ -99,8 +95,6 @@ let request_to_json (r : request) =
       in
       let base =
         base
-        @ (match q.q_deadline_s with Some d -> [ ("deadline_s", J.Float d) ] | None -> [])
-        @ (match q.q_max_rounds with Some n -> [ ("max_rounds", J.Int n) ] | None -> [])
         @ (match q.q_ladder with Some l -> [ ("ladder", J.String l) ] | None -> [])
         @ match q.q_rung with Some r -> [ ("rung", J.Int r) ] | None -> []
       in
@@ -125,6 +119,9 @@ let check_version j =
   | Some v -> Error (errf "RPC002" "unsupported schema version %S (expected %s)" v schema_version)
   | None -> Error (errf "RPC002" "missing \"rpc\" version field (expected %s)" schema_version)
 
+(* The absolute-budget params, superseded by [ladder]/[rung]. *)
+let removed_params = [ "deadline_s"; "max_rounds" ]
+
 let parse_query kind params =
   let ( let* ) = Result.bind in
   let* program =
@@ -141,17 +138,14 @@ let parse_query kind params =
     | Some "strict" -> Ok Lint_strict
     | Some other -> Error (errf "RPC004" "params.lint must be ignore|warn|strict, got %S" other)
   in
-  let* deadline_s =
-    match (J.member "deadline_s" params, num_field params "deadline_s") with
-    | None, _ -> Ok None
-    | Some _, Some d when d > 0.0 -> Ok (Some d)
-    | Some _, _ -> Error (err "RPC004" "params.deadline_s must be a positive number")
-  in
-  let* max_rounds =
-    match J.member "max_rounds" params with
-    | None -> Ok None
-    | Some (J.Int n) when n >= 1 -> Ok (Some n)
-    | Some _ -> Error (err "RPC004" "params.max_rounds must be a positive integer")
+  (* Unknown keys are ignored, so a removed param would otherwise be
+     silently dropped and the job would run at a strength the client did
+     not ask for. *)
+  let* () =
+    match List.find_opt (fun k -> J.member k params <> None) removed_params with
+    | Some k ->
+      Error (errf "RPC004" "params.%s was removed; use params.ladder / params.rung" k)
+    | None -> Ok ()
   in
   let* ladder =
     match J.member "ladder" params with
@@ -174,8 +168,6 @@ let parse_query kind params =
       q_certify = Option.value ~default:false (bool_field params "certify");
       q_analyze = Option.value ~default:false (bool_field params "analyze");
       q_cache = Option.value ~default:true (bool_field params "cache");
-      q_deadline_s = deadline_s;
-      q_max_rounds = max_rounds;
       q_ladder = ladder;
       q_rung = rung;
       q_stream = Option.value ~default:true (bool_field params "stream");

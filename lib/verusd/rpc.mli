@@ -57,12 +57,6 @@ type query = {
   q_cache : bool;
       (** consult the daemon's shared verification cache (default [true];
           a daemon started without a cache directory ignores this) *)
-  q_deadline_s : float option;
-      (** solver wall-clock budget override — deprecated sugar for a
-          single-rung ladder carrying the absolute budget; rejected
-          ([RPC004]) when combined with [q_ladder]/[q_rung] *)
-  q_max_rounds : int option;
-      (** instantiation-round budget override — same deprecated sugar *)
   q_ladder : string option;
       (** escalation-ladder name ({!Vladder.Ladder.builtins}: ["escalate"],
           ["deep"], ["cautious"]); each obligation climbs it, cheap rungs
@@ -94,8 +88,6 @@ val query :
   ?certify:bool ->
   ?analyze:bool ->
   ?cache:bool ->
-  ?deadline_s:float ->
-  ?max_rounds:int ->
   ?ladder:string ->
   ?rung:int ->
   ?stream:bool ->
@@ -111,7 +103,9 @@ val request_of_json : Vbase.Json.t -> (request, error) result
 (** Validate and decode a request frame.  Errors use the documented
     codes: [RPC002] version missing/unsupported, [RPC003] unknown
     method, [RPC004] invalid or missing parameters.  Unknown object
-    keys are ignored (additive-evolution rule). *)
+    keys are ignored (additive-evolution rule), except the removed
+    budget params [deadline_s] and [max_rounds], which answer [RPC004]
+    rather than run at a strength the client did not ask for. *)
 
 (** One server-to-client frame.  [E_vc] and [E_fn] stream while a job
     runs; exactly one [E_done] or [E_error] terminates each request. *)

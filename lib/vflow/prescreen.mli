@@ -8,7 +8,7 @@
     - [Proved]: the goal is definitely true in {e every} model of the
       hypotheses (or the hypotheses are contradictory — an infeasible
       path).  Since the abstract semantics over-approximates, this
-      implies SMT validity; the crosscheck in [bin/analyze_smoke]
+      implies SMT validity; the crosscheck in [smoke.exe analyze]
       re-proves every such verdict with the solver.
     - [Refuted]: the goal is definitely false in every model — advisory
       only, the driver still runs the solver (the hypotheses might be

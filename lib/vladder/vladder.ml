@@ -12,7 +12,6 @@ module Rung = struct
   type budget_spec =
     | B_profile
     | B_scaled of { deadline : float; rounds : float; instances : float }
-    | B_absolute of Smt.Solver.budget
 
   type t = {
     r_name : string;
@@ -40,7 +39,6 @@ module Rung = struct
       (* %h: exact hex floats, so the rendering (and therefore every cache
          fingerprint derived from it) never depends on decimal rounding. *)
       Printf.sprintf "scale:d=%h,r=%h,i=%h" deadline rounds instances
-    | B_absolute b -> "abs:" ^ Smt.Solver.budget_fingerprint b
 
   (* The display name is deliberately excluded: renaming a rung must not
      invalidate cache entries recorded under it, mirroring
@@ -76,7 +74,6 @@ module Rung = struct
         cfg with
         Smt.Solver.budget = scale_budget cfg.Smt.Solver.budget ~deadline ~rounds ~instances;
       }
-    | B_absolute b -> { cfg with Smt.Solver.budget = b }
 
   let apply_pruning r profile_prunes =
     match r.r_pruning with
@@ -173,17 +170,6 @@ module Ladder = struct
         (Printf.sprintf "ladder %s has rungs 0..%d, no rung %d" l.l_name (length l - 1) i)
     else
       Ok (make ~name:(Printf.sprintf "%s@%d" l.l_name i) [ l.l_rungs.(i) ])
-
-  let of_budget ?(name = "budget-override") b =
-    make ~name
-      [
-        {
-          Rung.r_name = "override";
-          r_triggers = Rung.T_profile;
-          r_pruning = Rung.P_profile;
-          r_budget = Rung.B_absolute b;
-        };
-      ]
 end
 
 (* --------------------- bench-document schema ----------------------- *)

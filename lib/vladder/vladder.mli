@@ -43,7 +43,6 @@ module Rung : sig
             wall-clock deadline, [rounds] the instantiation-round cap,
             [instances] every per-round/per-quantifier/conflict-style
             counter (each clamped to at least 1) *)
-    | B_absolute of Smt.Solver.budget  (** a fully explicit budget *)
 
   type t = {
     r_name : string;  (** display name, excluded from the fingerprint *)
@@ -58,8 +57,7 @@ module Rung : sig
 
   val fingerprint : t -> string
   (** Canonical one-line [k=v;...] rendering of everything semantic about
-      the rung (name excluded).  [B_absolute] budgets render through
-      {!Smt.Solver.budget_fingerprint}. *)
+      the rung (name excluded). *)
 
   val scale_budget :
     Smt.Solver.budget ->
@@ -138,12 +136,6 @@ module Ladder : sig
   val pin : t -> int -> (t, string) result
   (** [pin l n] — the single-rung ladder holding only rung [n] of [l]
       (the CLI's [--rung n]); [Error] when [n] is out of bounds. *)
-
-  val of_budget : ?name:string -> Smt.Solver.budget -> t
-  (** The deprecated budget-override surface as a single-rung ladder:
-      profile triggers and pruning, [B_absolute] budget.  What
-      [Driver.Config.with_budget] and the CLI's [--deadline] /
-      [--max-rounds] sugar construct. *)
 end
 
 val bench_schema : string

@@ -361,9 +361,13 @@ let test_vl010_cross_validation () =
      trigger story predicts. *)
   let profile = Verus.Profiles.liberal Verus.Profiles.dafny in
   Alcotest.(check string) "liberal naming" "Dafny-liberal" profile.Verus.Profiles.name;
+  (* The deadline leaves the loop a clear lead.  The cut is wall-clock,
+     so load shrinks the work done: at 1 s of work the flagged loop led
+     the unflagged [seq.int$h.len] axiom by 384 to 359 instances, and at
+     0.5 s it trailed; at 2-3 s the top two are both flagged. *)
   let profile =
     Verus.Profiles.with_budget
-      { (Verus.Profiles.budget profile) with Smt.Solver.max_rounds = 5; deadline_s = 1.0 }
+      { (Verus.Profiles.budget profile) with Smt.Solver.max_rounds = 5; deadline_s = 3.0 }
       profile
   in
   let prog = Verus.Bench_programs.memory_reasoning 4 in

@@ -4,7 +4,8 @@
    determinism under jobs > 1, the on-disk store's fixpoint and repair
    behavior, corruption tolerance (truncated documents, wrong schema
    tags, malformed entries — all degrade to misses, never failures),
-   fingerprint stability, and the deprecated pre-Config entry point. *)
+   fingerprint stability, including independence from what the process
+   encoded before. *)
 
 module J = Vbase.Json
 open Verus
@@ -325,28 +326,29 @@ let test_fingerprint () =
   Alcotest.(check bool) "budget override changes the fingerprint" true
     (not (String.equal fp1 fp_tight))
 
-(* ------------------------------------------------------------------ *)
-(* The deprecated pre-Config entry point                               *)
-(* ------------------------------------------------------------------ *)
-
-module Old_api = struct
-  [@@@alert "-deprecated"]
-
-  let verify = Driver.verify_program_opts
-end
-
-let test_deprecated_wrapper () =
-  let r = Old_api.verify ~lint:Driver.Lint_warn Profiles.verus (program ()) in
-  Alcotest.(check bool) "wrapper verifies" true r.Driver.pr_ok;
-  Alcotest.(check bool) "wrapper has no cache" true (r.Driver.pr_cache = None);
-  (* Same decisions as the Config entry point. *)
-  let r2 =
-    Driver.verify_program
-      ~config:Driver.Config.(with_lint Driver.Lint_warn default)
-      Profiles.verus (program ())
+(* A fingerprint must not depend on what the process encoded before.
+   Hash-consing orders [Eq]/[Mul] operands by term id, and ids depend on
+   which terms already exist: const_cond's [(= (+ a b) 4242)] is stored
+   the other way round once the literal predates the sum.  Fingerprint
+   const_cond, encode other programs, re-encode and fingerprint again. *)
+let test_fingerprint_history () =
+  let fps pf prog =
+    List.concat_map
+      (fun fd ->
+        List.map
+          (fun (vc : Encode.vc) ->
+            let context = Driver.context_for pf prog vc in
+            Vcache.fingerprint ~profile:pf ~prog ~context vc)
+          (Encode.encode_function pf prog fd))
+      (List.filter (fun fd -> fd.fmode <> Spec && fd.body <> None) prog.functions)
   in
-  Alcotest.(check string) "wrapper and Config digest equally" (Driver.result_digest r2)
-    (Driver.result_digest r)
+  let before = fps Profiles.verus Bench_programs.const_cond in
+  List.iter
+    (fun prog ->
+      List.iter (fun pf -> ignore (fps pf prog)) [ Profiles.verus; Profiles.dafny ])
+    [ Bench_programs.singly_linked; Bench_programs.break_pop; Bench_programs.dlock_default ];
+  Alcotest.(check (list string)) "fingerprints unchanged by earlier encodings" before
+    (fps Profiles.verus Bench_programs.const_cond)
 
 let () =
   Alcotest.run "vcache"
@@ -363,6 +365,9 @@ let () =
           Alcotest.test_case "malformed entry" `Quick test_malformed_entry;
           Alcotest.test_case "torn store" `Quick test_torn_store;
         ] );
-      ( "fingerprint", [ Alcotest.test_case "stability" `Quick test_fingerprint ] );
-      ( "api", [ Alcotest.test_case "deprecated wrapper" `Quick test_deprecated_wrapper ] );
+      ( "fingerprint",
+        [
+          Alcotest.test_case "stability" `Quick test_fingerprint;
+          Alcotest.test_case "history independence" `Quick test_fingerprint_history;
+        ] );
     ]

@@ -112,7 +112,7 @@ let test_rpc_request_roundtrip () =
       Rpc.request ~id:42
         (Rpc.M_job
            (Rpc.query ~profile:"Dafny" ~lint:Rpc.Lint_strict ~certify:true ~cache:false
-              ~deadline_s:2.5 ~max_rounds:9 ~stream:false Rpc.Verify "dlock"));
+              ~ladder:"deep" ~rung:1 ~stream:false Rpc.Verify "dlock"));
     ]
   in
   List.iter
@@ -176,6 +176,29 @@ let test_rpc_event_roundtrip () =
         Alcotest.(check bool) "event roundtrips" true (ev = ev')
       | Error e -> Alcotest.fail ("event_of_json: " ^ e.Rpc.code ^ " " ^ e.Rpc.message))
     events
+
+(* The absolute-budget params were removed in favour of ladder/rung.
+   Unknown keys are otherwise ignored, so each must be refused (RPC004)
+   rather than silently run at the default strength. *)
+let test_rpc_removed_params () =
+  List.iter
+    (fun (k, v) ->
+      let j =
+        J.Obj
+          [
+            ("rpc", J.String Rpc.schema_version);
+            ("id", J.Int 1);
+            ("method", J.String "verify");
+            ("params", J.Obj [ ("program", J.String "dlock"); (k, v) ]);
+          ]
+      in
+      match Rpc.request_of_json j with
+      | Error e ->
+        Alcotest.(check string) (k ^ " is RPC004") "RPC004" e.Rpc.code;
+        Alcotest.(check bool) (k ^ ": message says removed") true
+          (String.starts_with ~prefix:("params." ^ k ^ " was removed") e.Rpc.message)
+      | Ok _ -> Alcotest.fail (k ^ " accepted"))
+    [ ("deadline_s", J.Float 2.5); ("max_rounds", J.Int 9) ]
 
 let test_rpc_version_rejected () =
   let j =
@@ -475,6 +498,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_rpc_request_roundtrip;
           Alcotest.test_case "event roundtrip" `Quick test_rpc_event_roundtrip;
           Alcotest.test_case "version rejected" `Quick test_rpc_version_rejected;
+          Alcotest.test_case "removed budget params" `Quick test_rpc_removed_params;
           Alcotest.test_case "framing roundtrip" `Quick test_rpc_framing_roundtrip;
           Alcotest.test_case "framing negatives" `Quick test_rpc_framing_bad;
         ] );

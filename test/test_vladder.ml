@@ -1,7 +1,7 @@
 (* The escalation ladder: the Rung/Ladder API, the one resolver shared
    by CLI and daemon, escalation determinism across scheduling modes
-   (jobs=1 / jobs>1 / borrowed pool / live daemon), the deprecated
-   budget-wrapper equivalence, and the warm winning-rung jump. *)
+   (inline / transient domains / borrowed pool / live daemon), and the
+   warm winning-rung jump. *)
 
 open Verus
 module Rung = Vladder.Rung
@@ -70,30 +70,17 @@ let test_ladder_api () =
   | Error e -> Alcotest.fail e);
   (match Ladder.pin Ladder.escalate 3 with
   | Ok _ -> Alcotest.fail "pin past the top rung should be rejected"
-  | Error _ -> ());
-  let b = { Smt.Solver.default_budget with Smt.Solver.deadline_s = 7.0 } in
-  let l = Ladder.of_budget b in
-  Alcotest.(check int) "of_budget is single-rung" 1 (Ladder.length l);
-  Alcotest.(check string) "of_budget default name" "budget-override" (Ladder.name l)
+  | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* resolve_ladder: the shared CLI/daemon resolver                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_resolve_ladder () =
-  let p = Profiles.verus in
-  let resolve ?ladder ?rung ?deadline_s ?max_rounds () =
-    Vservice.resolve_ladder p ~ladder ~rung ~deadline_s ~max_rounds
-  in
+  let resolve ?ladder ?rung () = Vservice.resolve_ladder ~ladder ~rung in
   (match resolve () with
   | Ok None -> ()
   | _ -> Alcotest.fail "all-None must resolve to the implicit identity ladder");
-  (match resolve ~deadline_s:5.0 () with
-  | Ok (Some l) ->
-    Alcotest.(check string) "sugar builds the budget-override ladder" "budget-override"
-      (Ladder.name l);
-    Alcotest.(check int) "sugar ladder is single-rung" 1 (Ladder.length l)
-  | _ -> Alcotest.fail "deadline sugar must resolve to a single-rung ladder");
   (match resolve ~ladder:"deep" () with
   | Ok (Some l) -> Alcotest.(check string) "named ladder resolves" "deep" (Ladder.name l)
   | _ -> Alcotest.fail "deep should resolve");
@@ -108,12 +95,9 @@ let test_resolve_ladder () =
   (match resolve ~ladder:"nope" () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown ladder name must be rejected");
-  (match resolve ~ladder:"escalate" ~rung:9 () with
+  match resolve ~ladder:"escalate" ~rung:9 () with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "out-of-range rung must be rejected");
-  match resolve ~ladder:"escalate" ~deadline_s:5.0 () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "deprecated sugar combined with a ladder must be rejected"
+  | Ok _ -> Alcotest.fail "out-of-range rung must be rejected"
 
 (* ------------------------------------------------------------------ *)
 (* Escalation determinism across scheduling modes                      *)
@@ -129,15 +113,17 @@ let test_escalation_determinism () =
   let d1 =
     Driver.result_digest (Driver.verify_program ~config:cfg Profiles.verus prog)
   in
+  Alcotest.(check bool) "with_jobs 1 runs inline" true
+    (Driver.Config.(with_jobs 1 default).Driver.Config.pool = Driver.Config.Inline);
   List.iter
-    (fun jobs ->
+    (fun n ->
       let r =
         Driver.verify_program
-          ~config:Driver.Config.(cfg |> with_jobs jobs)
+          ~config:{ cfg with Driver.Config.pool = Driver.Config.Domains n }
           Profiles.verus prog
       in
       Alcotest.(check string)
-        (Printf.sprintf "jobs=%d digest = jobs=1 digest" jobs)
+        (Printf.sprintf "Domains %d digest = Inline digest" n)
         d1 (Driver.result_digest r))
     [ 2; 4 ];
   let pool = Verusd.Sched.create ~domains:3 in
@@ -145,10 +131,11 @@ let test_escalation_determinism () =
     Fun.protect
       ~finally:(fun () -> Verusd.Sched.shutdown pool)
       (fun () ->
-        Driver.verify_program ~config:Driver.Config.(cfg |> with_sched pool) Profiles.verus prog)
+        Driver.verify_program
+          ~config:{ cfg with Driver.Config.pool = Driver.Config.Borrowed pool }
+          Profiles.verus prog)
   in
-  Alcotest.(check string) "borrowed-pool digest = jobs=1 digest" d1
-    (Driver.result_digest pooled);
+  Alcotest.(check string) "Borrowed digest = Inline digest" d1 (Driver.result_digest pooled);
   (* The climb itself is deterministic, not just the verdicts. *)
   let again = Driver.verify_program ~config:cfg Profiles.verus prog in
   let tried r =
@@ -159,26 +146,6 @@ let test_escalation_determinism () =
   in
   Alcotest.(check bool) "rungs tried are reproducible" true
     (tried (Driver.verify_program ~config:cfg Profiles.verus prog) = tried again)
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated wrapper == single-rung ladder                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_budget_wrapper_equivalence () =
-  let b = { (Profiles.budget Profiles.verus) with Smt.Solver.deadline_s = 11.0 } in
-  let via_wrapper =
-    Driver.verify_program
-      ~config:(Driver.Config.with_budget b Driver.Config.default [@alert "-deprecated"])
-      Profiles.verus Bench_programs.const_cond
-  in
-  let via_ladder =
-    Driver.verify_program
-      ~config:Driver.Config.(default |> with_ladder (Ladder.of_budget b))
-      Profiles.verus Bench_programs.const_cond
-  in
-  Alcotest.(check string) "wrapper digest = of_budget ladder digest"
-    (Driver.result_digest via_wrapper)
-    (Driver.result_digest via_ladder)
 
 (* ------------------------------------------------------------------ *)
 (* The warm winning-rung jump                                          *)
@@ -329,16 +296,15 @@ let test_daemon_ladder_parity () =
               Alcotest.fail ("daemon answered " ^ e.Verusd.Rpc.code ^ ": " ^ e.Verusd.Rpc.message)
             | Ok _ -> Alcotest.fail "expected done"
             | Error e -> Alcotest.fail e);
-            (* Sugar combined with a ladder: RPC004, connection survives. *)
+            (* An unknown ladder: RPC004, connection survives. *)
             let bad =
               Verusd.Rpc.request ~id:4
                 (Verusd.Rpc.M_job
-                   (Verusd.Rpc.query ~ladder:"escalate" ~deadline_s:5.0 Verusd.Rpc.Verify
-                      "break_pop"))
+                   (Verusd.Rpc.query ~ladder:"nope" Verusd.Rpc.Verify "break_pop"))
             in
             (match Verusd.Client.call c bad with
             | Ok (Verusd.Rpc.E_error e) ->
-              Alcotest.(check string) "sugar + ladder is RPC004" "RPC004" e.Verusd.Rpc.code
+              Alcotest.(check string) "unknown ladder is RPC004" "RPC004" e.Verusd.Rpc.code
             | Ok _ -> Alcotest.fail "expected RPC004"
             | Error e -> Alcotest.fail e);
             match Verusd.Client.call c (Verusd.Rpc.request Verusd.Rpc.M_ping) with
@@ -357,8 +323,6 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "escalation determinism" `Quick test_escalation_determinism;
-          Alcotest.test_case "budget wrapper equivalence" `Quick
-            test_budget_wrapper_equivalence;
           Alcotest.test_case "warm rung jump" `Quick test_warm_rung_jump;
         ] );
       ( "daemon",
