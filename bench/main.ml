@@ -114,25 +114,6 @@ let verify_time3 ?jobs profile prog =
 
 let status_cell (ok, time, _) = if ok then Printf.sprintf "%8.2fs" time else "   FAIL "
 
-(* A per-profile verification-time budget: heavyweight profiles that blow
-   through it are reported as "timeout" (which is itself the result the
-   paper reports for some tools, e.g. Low* on the memory benchmark). *)
-let with_deadline seconds f =
-  let result = ref None in
-  let d = Domain.spawn (fun () -> result := Some (f ())) in
-  let t0 = Unix.gettimeofday () in
-  let rec wait () =
-    if !result <> None then Domain.join d
-    else if Unix.gettimeofday () -. t0 > seconds then raise Exit
-    else begin
-      Unix.sleepf 0.05;
-      wait ()
-    end
-  in
-  (try wait () with Exit -> ());
-  !result
-[@@warning "-unused-value-declaration"]
-
 (* ------------------------------------------------------------------ *)
 (* fig7a: linked-list verification times across frameworks             *)
 (* ------------------------------------------------------------------ *)
@@ -393,7 +374,7 @@ let kv_bench () =
   let add name r loss =
     Printf.printf "  %-24s %8.1fk %9.4f %9.4f %8d %6d %9d\n%!" name r.W.kops_per_s
       r.W.lat_p50_ms r.W.lat_p99_ms r.W.crashes r.W.recoveries r.W.replayed;
-    rows := W.kv_bench_row ~name ~acked_write_loss:loss r :: !rows
+    rows := Bench_schema.kv_row ~name ~acked_write_loss:loss r :: !rows
   in
   add "volatile" (W.run ~style:`Inplace ~ops ()) 0;
   add "durable group=1" (W.run ~style:`Inplace ~ops ~durability:(dur 1) ()) 0;
@@ -436,12 +417,12 @@ let kv_bench () =
       (if !quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ])
   in
   let doc =
-    match W.kv_bench_doc (List.rev !rows) with
+    match Bench_schema.kv_doc (List.rev !rows) with
     | Vbase.Json.Obj fields ->
       Vbase.Json.Obj (fields @ [ ("recovery_probe", Vbase.Json.List probes) ])
     | j -> j
   in
-  (match W.validate_kv_bench doc with
+  (match Bench_schema.validate_kv doc with
   | Ok () -> ()
   | Error e -> Printf.printf "  !! BENCH_kv.json failed self-validation: %s\n%!" e);
   let oc = open_out "BENCH_kv.json" in
@@ -877,7 +858,7 @@ let certify_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Three measurements, written to BENCH_daemon.json (verus-daemon-bench/1,
-   self-validated through Vservice.validate_daemon_bench):
+   self-validated through Bench_schema.validate_daemon):
 
    cold   — the whole suite verified through one persistent daemon (one
             client connection, requests served in order on a warm
@@ -1158,7 +1139,7 @@ let daemon_bench () =
         ("burst", Vbase.Json.List burst_json);
       ]
   in
-  (match Verus.Vservice.validate_daemon_bench doc with
+  (match Bench_schema.validate_daemon doc with
   | Ok () -> ()
   | Error e -> Printf.printf "  !! BENCH_daemon.json failed self-validation: %s\n%!" e);
   let oc = open_out "BENCH_daemon.json" in
@@ -1303,7 +1284,7 @@ let analyze_bench () =
   let doc =
     Vbase.Json.Obj
       [
-        ("schema", Vbase.Json.String Vflow.bench_schema);
+        ("schema", Vbase.Json.String Bench_schema.analyze_schema);
         ("analysis", Vbase.Json.String Vflow.version);
         ("rows", Vbase.Json.List rows);
         ( "totals",
@@ -1318,7 +1299,7 @@ let analyze_bench () =
             ] );
       ]
   in
-  (match Vflow.validate_analyze_bench doc with
+  (match Bench_schema.validate_analyze doc with
   | Ok () -> ()
   | Error e -> Printf.printf "  !! BENCH_analyze.json failed self-validation: %s\n%!" e);
   let oc = open_out "BENCH_analyze.json" in
@@ -1326,14 +1307,14 @@ let analyze_bench () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\n  wrote %d row(s) to BENCH_analyze.json (%s)\n%!" (List.length rows)
-    Vflow.bench_schema
+    Bench_schema.analyze_schema
 
 (* ------------------------------------------------------------------ *)
 (* ladder: per-VC escalation ladder vs the monolithic configuration     *)
 (* ------------------------------------------------------------------ *)
 
 (* Written to BENCH_ladder.json (verus-ladder-bench/1, self-validated
-   through Vladder.validate_ladder_bench):
+   through Bench_schema.validate_ladder):
 
    rows — each program x profile verified three ways, per-VC:
           * monolithic: the profile configuration as-is, no ladder;
@@ -1511,7 +1492,7 @@ let ladder_bench () =
   let doc =
     Vbase.Json.Obj
       [
-        ("schema", Vbase.Json.String Vladder.bench_schema);
+        ("schema", Vbase.Json.String Bench_schema.ladder_schema);
         ("ladder", Vbase.Json.String (Verus.Driver.Ladder.name ladder));
         ("rows", Vbase.Json.List rows);
         ( "warm",
@@ -1524,7 +1505,7 @@ let ladder_bench () =
             ] );
       ]
   in
-  (match Vladder.validate_ladder_bench doc with
+  (match Bench_schema.validate_ladder doc with
   | Ok () -> ()
   | Error e -> Printf.printf "  !! BENCH_ladder.json failed self-validation: %s\n%!" e);
   let oc = open_out "BENCH_ladder.json" in
@@ -1532,7 +1513,7 @@ let ladder_bench () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\n  wrote %d row(s) to BENCH_ladder.json (%s)\n%!" (List.length rows)
-    Vladder.bench_schema
+    Bench_schema.ladder_schema
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                 *)

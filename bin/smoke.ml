@@ -51,6 +51,16 @@ let clear_cache dir =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* Every run below goes through the one query-to-Config mapping the CLI
+   and the daemon share. *)
+let run ?(jobs = 1) ?cache_dir (q : Rpc.query) profile prog =
+  match
+    Vservice.run_job ~pool:(if jobs > 1 then Domains jobs else Inline) ~cache_dir q profile prog
+  with
+  | Ok { Vservice.run = Vservice.Verified r; _ } -> r
+  | Ok { Vservice.run = Vservice.Linted _; _ } -> fail "%s: not a verification job" q.Rpc.q_program
+  | Error e -> fail "%s: %s" q.Rpc.q_program e
+
 (* ------------------------------ faults ------------------------------- *)
 
 let faults () =
@@ -137,10 +147,9 @@ let profile path =
 let cache () =
   let dir = fresh_tmp "cache" in
   clear_cache dir;
-  let run ?(jobs = 1) () =
-    Driver.verify_program
-      ~config:Driver.Config.(default |> with_cache dir |> with_jobs jobs)
-      Profiles.verus Bench_programs.singly_linked
+  let run ?jobs () =
+    run ?jobs ~cache_dir:dir (Rpc.query Rpc.Verify "singly_linked") Profiles.verus
+      Bench_programs.singly_linked
   in
   let stats (r : Driver.program_result) =
     match r.Driver.pr_cache with Some s -> s | None -> fail "run reported no cache stats"
@@ -193,10 +202,7 @@ let certify () =
   List.iter
     (fun (name, mk) ->
       let broken = String.starts_with ~prefix:"break_" name in
-      let r =
-        Driver.verify_program ~config:Driver.Config.(default |> with_certify true) Profiles.verus
-          (mk ())
-      in
+      let r = run (Rpc.query ~certify:true Rpc.Verify name) Profiles.verus (mk ()) in
       (match (broken, r.Driver.pr_ok, Driver.first_failure r) with
       | false, false, Some (where, what, code) -> fail "%s: [%s] %s: %s" name code where what
       | true, true, _ -> fail "%s: expected to fail but verified" name
@@ -260,12 +266,10 @@ let analyze () =
     (Printf.sprintf "crosscheck: %d prescreen-proved obligation(s) of %d all SMT-Unsat"
        !discharged !checked)
     (!discharged > 0);
-  let run ?(analyze = false) ?(jobs = 1) prog =
-    Driver.verify_program
-      ~config:Driver.Config.(default |> with_analyze analyze |> with_jobs jobs)
-      Profiles.verus prog
+  let run ?analyze ?jobs name prog =
+    run ?jobs (Rpc.query ?analyze Rpc.Verify name) Profiles.verus prog
   in
-  let pre = run ~analyze:true Bench_programs.const_cond in
+  let pre = run ~analyze:true "const_cond" Bench_programs.const_cond in
   check "const_cond verifies with prescreen" pre.Driver.pr_ok;
   check "const_cond discharges at least one obligation at rung 0"
     (Driver.prescreen_discharged pre > 0);
@@ -273,9 +277,9 @@ let analyze () =
      identity, so digests agree plain vs. prescreened and across jobs. *)
   List.iter
     (fun (name, prog) ->
-      let plain = run prog in
-      let pre1 = run ~analyze:true prog in
-      let pre2 = run ~analyze:true ~jobs:2 prog in
+      let plain = run name prog in
+      let pre1 = run ~analyze:true name prog in
+      let pre2 = run ~analyze:true ~jobs:2 name prog in
       check (name ^ ": prescreened digest equals plain digest") (digest plain = digest pre1);
       check (name ^ ": prescreened digest stable under jobs=2") (digest pre1 = digest pre2);
       check (name ^ ": verified-function count unchanged")
@@ -300,7 +304,9 @@ let wasted r =
     0 (vcs_of r)
 
 let ladder () =
-  let ladder = Driver.Ladder.escalate in
+  let climb ?rung ?cache_dir ?lint ?(kind = Rpc.Verify) name =
+    run ?cache_dir (Rpc.query ~ladder:"escalate" ?rung ?lint kind name)
+  in
   (* The ladder may change cost, never truth: its top rung is the
      untouched profile.  And a win is a property of the rung's
      configuration, not of the climb that led there. *)
@@ -308,19 +314,14 @@ let ladder () =
     (fun (name, prog, (p : Profiles.t)) ->
       let tag = Printf.sprintf "%s / %s" name p.Profiles.name in
       let mono = Driver.verify_program p prog in
-      let lad = Driver.verify_program ~config:Driver.Config.(default |> with_ladder ladder) p prog in
+      let lad = climb name p prog in
       check (tag ^ ": ladder digest equals monolithic digest") (digest mono = digest lad);
       let lad_vcs = vcs_of lad in
       check (tag ^ ": every obligation records a winning rung")
         (List.for_all (fun (v : Driver.vc_result) -> v.Driver.vcr_rung <> None) lad_vcs);
       List.iter
         (fun w ->
-          let pinned =
-            match Driver.Ladder.pin ladder w with Ok l -> l | Error e -> fail "%s: pin %d: %s" tag w e
-          in
-          let pin_vcs =
-            vcs_of (Driver.verify_program ~config:Driver.Config.(default |> with_ladder pinned) p prog)
-          in
+          let pin_vcs = vcs_of (climb ~rung:w name p prog) in
           (* Obligation names can repeat, so match positionally: both runs
              list obligations in encoding order. *)
           if List.length lad_vcs <> List.length pin_vcs then
@@ -349,10 +350,12 @@ let ladder () =
      rung is never final). *)
   let dir = fresh_tmp "ladder" in
   clear_cache dir;
+  (* Profile jobs lint at warn, so every run here does: lint findings
+     are part of the digest. *)
   let run ~profile () =
-    Driver.verify_program
-      ~config:Driver.Config.(default |> with_ladder ladder |> with_cache dir |> with_profile profile)
-      Profiles.verus Bench_programs.break_pop
+    climb ~cache_dir:dir ~lint:Rpc.Lint_warn
+      ~kind:(if profile then Rpc.Profile else Rpc.Verify)
+      "break_pop" Profiles.verus Bench_programs.break_pop
   in
   let ls r = match r.Driver.pr_ladder with Some ls -> ls | None -> fail "run lost its ladder stats" in
   let cold = run ~profile:false () in
@@ -397,7 +400,7 @@ let daemon () =
   let want =
     List.map
       (fun (n, p) ->
-        (n, digest (Driver.verify_program ~config:Driver.Config.(default |> with_certify true) Profiles.verus p)))
+        (n, digest (run (Rpc.query ~certify:true Rpc.Verify n) Profiles.verus p)))
       progs
   in
   let served = ref (Ok ()) in
@@ -501,9 +504,12 @@ let docs path =
           Printf.eprintf "%s:%d: example is not valid JSON: %s\n" path line e;
           true
         | Ok j -> (
-          match Rpc.validate_frame j with
-          | Ok () -> false
-          | Error e ->
+          (* A profile job's report must also be a valid verus-profile
+             document. *)
+          let report = Option.bind (J.member "result" j) (J.member "report") in
+          match (Rpc.validate_frame j, Option.map Profile_report.validate report) with
+          | Ok (), (None | Some (Ok ())) -> false
+          | Error e, _ | _, Some (Error e) ->
             Printf.eprintf "%s:%d: example violates %s: %s\n" path line Rpc.schema_version e;
             true))
       blocks
@@ -530,14 +536,13 @@ let manifest_digest ~program ~profile ~setting =
     | Some base -> Profiles.liberal (ok (Vservice.find_profile base))
     | None -> ok (Vservice.find_profile profile)
   in
-  let config =
+  let q =
     match setting with
-    | "default" -> Driver.Config.default
-    | "escalate+prescreen" ->
-      Driver.Config.(default |> with_ladder Driver.Ladder.escalate |> with_analyze true)
+    | "default" -> Rpc.query Rpc.Verify program
+    | "escalate+prescreen" -> Rpc.query ~ladder:"escalate" ~analyze:true Rpc.Verify program
     | s -> fail "unknown setting %s" s
   in
-  digest (Driver.verify_program ~config p (ok (Vservice.find_program program)))
+  digest (run q p (ok (Vservice.find_program program)))
 
 let digests path =
   let checked = ref 0 and mismatches = ref 0 in

@@ -5,9 +5,8 @@
                        [--certify] [--prescreen]
      verus_cli analyze <program> [<profile>] [--fn NAME]
      verus_cli profile <program> [<profile>] [--json] [--top K] [--liberal]
-                       [--fn NAME] [--jobs N] [--ladder NAME] [--rung N]
-                       [--cache DIR] [--no-cache]
-     verus_cli lint    [<program>|--all] [<profile>] [--strict] [--json]
+                       (and every verify flag except --lint)
+     verus_cli lint    [<program>|--all] [<profile>] [--strict] [--liberal] [--json]
      verus_cli cache   stats|clear [DIR]
      verus_cli daemon  [--socket PATH] [--domains N] [--cache DIR]
      verus_cli client  ping|status|shutdown|verify|lint|profile [<program> [<profile>]]
@@ -17,6 +16,14 @@
      verus_cli codes           (the VL0xx diagnostic table)
      verus_cli ladders         (the built-in escalation ladders, rung by rung)
      verus_cli help
+
+   One flag parser fills one Rpc.query — the job description the daemon
+   receives — plus the flags that only make sense in this process (--fn,
+   --jobs, --cache, --liberal, --json, --top).  verify/profile/lint run
+   that query through Vservice.run_job, the same function the daemon's
+   handler calls, and print the cache, ladder and verdict lines from its
+   done payload with the function that prints a daemon's answer: a local
+   digest and a daemon digest for one job are directly comparable.
 
    The verification cache directory comes from --cache DIR or, when the
    flag is absent, the VERUS_CACHE environment variable; --no-cache turns
@@ -36,12 +43,11 @@
    counterexample (1) and a timeout (3).  The daemon/client pair uses 6
    for connection or protocol failures (no daemon at the socket, framing
    errors, RPC-level rejections): an environment problem, never a
-   verdict — a client run that reaches a verdict mirrors the daemon's
-   exit_code field, so 0/1/3/5 mean the same thing in both modes.
+   verdict — a job's exit code is its done payload's exit_code, so
+   0/1/3/5 mean the same thing locally and through a daemon. *)
 
-   The bundled program and profile tables, and the verdict-to-exit-code
-   mapping, live in Verus.Vservice — one table for the CLI and the
-   daemon, so both resolve the same names to the same computations. *)
+module J = Vbase.Json
+module Rpc = Verusd.Rpc
 
 let programs = Verus.Vservice.programs
 let profile_names = Verus.Vservice.profile_names
@@ -63,18 +69,19 @@ let usage oc =
     \      --certify replays every Unsat's proof certificate through the\n\
     \      independent Vcheck kernel and fails (exit 5, VC003) on rejection;\n\
     \      --prescreen runs the Vflow abstract-interpretation prescreen first\n\
-    \      (rung 0): obligations it proves skip the solver entirely\n\
+    \      (rung 0): obligations it proves skip the solver entirely.\n\
+    \      The last line is the verdict with the run's result digest\n\
     \  analyze <program> [<profile>] [--fn NAME]\n\
     \      run only the Vflow prescreen: per-obligation verdicts (proved /\n\
     \      refuted-hypothetical / unknown), derived facts shipped to SMT on\n\
     \      fall-through, and the VL04x flow findings — no solver runs\n\
-    \  profile <program> [<profile>] [--json] [--top K] [--liberal] [--fn NAME]\n\
-    \          [--jobs N] [--ladder NAME] [--rung N] [--cache DIR] [--no-cache]\n\
+    \  profile <program> [<profile>] [--json] [--top K] [--liberal]\n\
+    \          [verify flags except --lint]\n\
     \      verify with the solver profiler on and print instantiation /\n\
     \      phase-time hot-spot tables (--json: versioned machine-readable\n\
     \      document; --liberal: degrade the profile to Dafny-style broad\n\
     \      trigger selection first, the configuration behind the VL010\n\
-    \      cross-check)\n\
+    \      cross-check); always lints at warn\n\
     \  lint [<program>|--all] [<profile>] [--strict] [--liberal] [--json]\n\
     \      run the Vlint static analyses; exit 1 on Error findings\n\
     \      (--strict: also fail on Warn findings; --liberal: lint the\n\
@@ -92,9 +99,10 @@ let usage oc =
     \         [--socket PATH] [--lint ignore|warn|strict] [--certify] [--prescreen]\n\
     \         [--no-cache] [--ladder NAME] [--rung N] [--no-stream]\n\
     \      send one request to a running daemon; job verdicts stream as they\n\
-    \      land and the process exits with the daemon's exit_code (the same\n\
-    \      0/1/3/5 as local verify), or 6 on connection/protocol failure;\n\
-    \      --ladder / --rung behave exactly as in local verify\n\
+    \      land, the cache, ladder and verdict lines print as for a local run\n\
+    \      (a profile job also prints its verus-profile document), and the\n\
+    \      process exits with the daemon's exit_code (the same 0/1/3/5 as a\n\
+    \      local run), or 6 on connection/protocol failure\n\
     \  list\n\
     \      list bundled programs and profiles\n\
     \  codes\n\
@@ -163,47 +171,105 @@ let cmd_ladders () =
   print_endline "(--rung N pins every obligation to rung N)";
   exit 0
 
-(* One resolver for automation strength, shared with the daemon's request
-   handler (Vservice.resolve_ladder): --ladder names a built-in, --rung
-   pins one rung of it. *)
-let ladder_override ~ladder ~rung =
-  match Verus.Vservice.resolve_ladder ~ladder ~rung with
-  | Ok l -> l
-  | Error msg -> die_usage "%s" msg
+(* ------------------------- the one flag parser ------------------------ *)
 
-(* --cache DIR wins; otherwise VERUS_CACHE; --no-cache beats both. *)
-let resolve_cache_dir ~no_cache ~cache_dir =
-  if no_cache then None
-  else
-    match cache_dir with
-    | Some d -> Some d
-    | None -> (
-      match Sys.getenv_opt "VERUS_CACHE" with Some "" | None -> None | Some d -> Some d)
+(* What a command's flags fill: the job description the daemon would
+   receive, plus the flags that stay in this process. *)
+type opts = {
+  q : Rpc.query;
+  args : string list;  (** positional arguments, in order *)
+  fn : string option;
+  jobs : int;
+  cache_dir : string option;
+  liberal : bool;
+  json : bool;
+  top : int;
+  all : bool;
+  socket : string option;
+  domains : int;
+}
 
-let cache_summary_line (r : Verus.Driver.program_result) =
-  match r.Verus.Driver.pr_cache with
-  | None -> ()
-  | Some cs ->
-    Printf.printf "cache: %d hit(s), %d miss(es), %d invalidation(s), %d store(s)%s\n"
-      cs.Verus.Vcache.hits cs.Verus.Vcache.misses cs.Verus.Vcache.invalidations
-      cs.Verus.Vcache.stores
-      (if cs.Verus.Vcache.corrupt_load then " — store was corrupt at load, rebuilt" else "")
+(* The job flags profile takes; verify also takes --lint (a profile job
+   always lints at warn). *)
+let job_flags =
+  [ "--fn"; "--jobs"; "--ladder"; "--rung"; "--cache"; "--no-cache"; "--certify"; "--prescreen" ]
 
-let ladder_summary_line (r : Verus.Driver.program_result) =
-  match r.Verus.Driver.pr_ladder with
-  | None -> ()
-  | Some ls ->
-    let per_rung a =
-      String.concat "/" (List.map string_of_int (Array.to_list a))
-    in
-    Printf.printf
-      "ladder: %s (%d rungs): attempts %s, wins %s, %d escalation(s), %d steered, %d \
-       cache hit(s), %d warm rung jump(s)\n"
-      ls.Verus.Driver.ls_ladder ls.Verus.Driver.ls_rungs
-      (per_rung ls.Verus.Driver.ls_attempts)
-      (per_rung ls.Verus.Driver.ls_wins)
-      ls.Verus.Driver.ls_escalations ls.Verus.Driver.ls_steered
-      ls.Verus.Driver.ls_cache_hits ls.Verus.Driver.ls_hint_starts
+(* Each command passes the flags it accepts; any other flag is a usage
+   error (exit 2) — how `client` refuses the process-local ones. *)
+let parse_opts ~flags args =
+  let count flag ~min v =
+    match int_of_string_opt v with
+    | Some n when n >= min -> n
+    | _ ->
+      die_usage "%s expects a %s integer, got %s" flag
+        (if min = 0 then "non-negative" else "positive")
+        v
+  in
+  let rec go o = function
+    | [] -> { o with args = List.rev o.args }
+    | flag :: rest when String.length flag > 1 && flag.[0] = '-' -> (
+      if not (List.mem flag flags) then die_usage "unknown option %s" flag;
+      let q = o.q in
+      match (flag, rest) with
+      | "--certify", rest -> go { o with q = { q with q_certify = true } } rest
+      | "--prescreen", rest -> go { o with q = { q with q_analyze = true } } rest
+      | "--no-cache", rest -> go { o with q = { q with q_cache = false } } rest
+      | "--no-stream", rest -> go { o with q = { q with q_stream = false } } rest
+      | "--strict", rest -> go { o with q = { q with q_lint = Rpc.Lint_strict } } rest
+      | "--liberal", rest -> go { o with liberal = true } rest
+      | "--json", rest -> go { o with json = true } rest
+      | "--all", rest -> go { o with all = true } rest
+      | _, [] -> die_usage "%s expects a value" flag
+      | "--lint", v :: rest ->
+        let l =
+          match v with
+          | "ignore" -> Rpc.Lint_off
+          | "warn" -> Rpc.Lint_warn
+          | "strict" -> Rpc.Lint_strict
+          | _ -> die_usage "--lint expects ignore|warn|strict, got %s" v
+        in
+        go { o with q = { q with q_lint = l } } rest
+      | "--ladder", v :: rest -> go { o with q = { q with q_ladder = Some v } } rest
+      | "--rung", v :: rest -> go { o with q = { q with q_rung = Some (count flag ~min:0 v) } } rest
+      | "--fn", v :: rest -> go { o with fn = Some v } rest
+      | "--jobs", v :: rest -> go { o with jobs = count flag ~min:1 v } rest
+      | "--top", v :: rest -> go { o with top = count flag ~min:1 v } rest
+      | "--domains", v :: rest -> go { o with domains = count flag ~min:1 v } rest
+      | "--cache", v :: rest -> go { o with cache_dir = Some v } rest
+      | "--socket", v :: rest -> go { o with socket = Some v } rest
+      | _ -> die_usage "unknown option %s" flag)
+    | a :: rest -> go { o with args = a :: o.args } rest
+  in
+  go
+    {
+      q = Rpc.query Rpc.Verify "singly_linked";
+      args = [];
+      fn = None;
+      jobs = 1;
+      cache_dir = None;
+      liberal = false;
+      json = false;
+      top = 10;
+      all = false;
+      socket = None;
+      domains = 4;
+    }
+    args
+
+(* --cache DIR wins; otherwise VERUS_CACHE. *)
+let cache_dir = function
+  | Some d -> Some d
+  | None -> (
+    match Sys.getenv_opt "VERUS_CACHE" with Some "" | None -> None | Some d -> Some d)
+
+(* [<program> [<profile>]] into the query, defaulting to singly_linked
+   under Verus. *)
+let target kind o =
+  match o.args with
+  | [] -> { o.q with q_kind = kind }
+  | [ p ] -> { o.q with q_kind = kind; q_program = p }
+  | [ p; f ] -> { o.q with q_kind = kind; q_program = p; q_profile = f }
+  | _ :: _ :: extra :: _ -> die_usage "unexpected argument %s" extra
 
 (* Restrict verification to one exec/proof function (debugging aid);
    spec functions stay, the others' axioms may be needed. *)
@@ -219,87 +285,83 @@ let apply_fn_filter prog = function
           prog.Verus.Vir.functions;
     }
 
-(* The verdict-to-exit-code policy (0/1/3/5) is shared with the daemon:
-   Vservice computes a job's exit_code once, and both this process and a
-   `verus_cli client` run report the same number for the same result. *)
-let budget_only = Verus.Vservice.budget_only
-let cert_failed = Verus.Vservice.cert_failed
-let result_exit_code = Verus.Vservice.result_exit_code
+(* The query's profile, degraded under --liberal, and its program,
+   restricted under --fn. *)
+let resolve o (q : Rpc.query) =
+  let profile = find_profile q.Rpc.q_profile in
+  ( (if o.liberal then Verus.Profiles.liberal profile else profile),
+    apply_fn_filter (find_program q.Rpc.q_program) o.fn )
+
+let run_local o (q : Rpc.query) =
+  let profile, prog = resolve o q in
+  match
+    Verus.Vservice.run_job
+      ~pool:(if o.jobs > 1 then Domains o.jobs else Inline)
+      ~cache_dir:(cache_dir o.cache_dir)
+      q profile prog
+  with
+  | Ok job -> job
+  | Error msg -> die_usage "%s" msg
+
+let verified (job : Verus.Vservice.job) =
+  match job.Verus.Vservice.run with
+  | Verus.Vservice.Verified r -> r
+  | Verus.Vservice.Linted _ -> assert false
+
+(* -------------------------- the done payload -------------------------- *)
+
+let member_int j key = match J.member key j with Some (J.Int n) -> n | _ -> 0
+let member_str j key = match J.member key j with Some (J.String s) -> s | _ -> "?"
+let exit_code j = member_int j "exit_code"
+
+(* The cache, ladder and verdict lines of one job, from its done payload:
+   the same lines for a local run and a daemon's answer. *)
+let print_done (q : Rpc.query) j =
+  (match J.member "cache" j with
+  | Some c ->
+    Printf.printf "cache: %d hit(s), %d miss(es), %d invalidation(s), %d store(s)\n"
+      (member_int c "hits") (member_int c "misses") (member_int c "invalidations")
+      (member_int c "stores")
+  | None -> ());
+  (match J.member "ladder" j with
+  | Some l ->
+    let per_rung key =
+      match J.member key l with
+      | Some (J.List ns) ->
+        String.concat "/" (List.map (function J.Int n -> string_of_int n | _ -> "?") ns)
+      | _ -> "?"
+    in
+    Printf.printf
+      "ladder: %s (%d rungs): attempts %s, wins %s, %d escalation(s), %d steered, %d \
+       cache hit(s), %d warm rung jump(s)\n"
+      (member_str l "name") (member_int l "rungs") (per_rung "attempts") (per_rung "wins")
+      (member_int l "escalations") (member_int l "steered") (member_int l "cache_hits")
+      (member_int l "hint_starts")
+  | None -> ());
+  let verdict =
+    match (member_str j "kind", exit_code j) with
+    | "lint", 0 -> "CLEAN"
+    | "lint", _ -> "FINDINGS"
+    | _, 0 -> if q.Rpc.q_certify then "VERIFIED (certified)" else "VERIFIED"
+    | _, 3 -> "UNKNOWN (solver budget exhausted)"
+    | _, 5 -> "CERTIFICATE REJECTED"
+    | _ -> "FAILED"
+  in
+  let time_s = Option.value ~default:0.0 (Option.bind (J.member "time_s" j) J.to_float) in
+  Printf.printf "== %s / %s: %s in %.3fs (digest %s)\n" (member_str j "program")
+    (member_str j "profile") verdict time_s (member_str j "digest")
+
+let finish q j =
+  print_done q j;
+  exit (exit_code j)
 
 (* --------------------------- verify ------------------------------- *)
 
 let cmd_verify args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let jobs = ref 1 in
-  let lint = ref Verus.Driver.Lint_ignore in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let certify = ref false in
-  let prescreen = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--certify" :: rest ->
-      certify := true;
-      parse rest
-    | "--prescreen" :: rest ->
-      prescreen := true;
-      parse rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> jobs := n
-      | _ -> die_usage "--jobs expects a positive integer, got %s" v);
-      parse rest
-    | "--lint" :: v :: rest ->
-      (match v with
-      | "ignore" -> lint := Verus.Driver.Lint_ignore
-      | "warn" -> lint := Verus.Driver.Lint_warn
-      | "strict" -> lint := Verus.Driver.Lint_strict
-      | _ -> die_usage "--lint expects ignore|warn|strict, got %s" v);
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
-  let prog = apply_fn_filter (find_program prog_name) !fn_filter in
-  let config =
-    {
-      (Verus.Driver.Config.with_jobs !jobs Verus.Driver.Config.default) with
-      Verus.Driver.Config.lint = !lint;
-      certify = !certify;
-      analyze = !prescreen;
-      ladder = ladder_override ~ladder:!ladder_name ~rung:!rung;
-      cache =
-        Option.map
-          (fun dir -> { Verus.Vcache.dir })
-          (resolve_cache_dir ~no_cache:!no_cache ~cache_dir:!cache_dir);
-    }
-  in
-  let r = Verus.Driver.verify_program ~config profile prog in
+  let o = parse_opts ~flags:("--lint" :: job_flags) args in
+  let q = target Rpc.Verify o in
+  let job = run_local o q in
+  let r = verified job in
   List.iter
     (fun d -> Printf.printf "lint: %s\n" (Verus.Vlint.diag_to_string d))
     r.Verus.Driver.pr_lint;
@@ -334,9 +396,11 @@ let cmd_verify args =
   | Some (where, what, code) when not r.Verus.Driver.pr_ok ->
     Printf.printf "first failure: [%s] %s: %s\n" code where what
   | _ -> ());
-  cache_summary_line r;
-  ladder_summary_line r;
-  (if !prescreen then
+  (match r.Verus.Driver.pr_cache with
+  | Some cs when cs.Verus.Vcache.corrupt_load ->
+    print_endline "cache: store was corrupt at load, rebuilt"
+  | _ -> ());
+  (if q.Rpc.q_analyze then
      let total =
        List.fold_left
          (fun acc (fnr : Verus.Driver.fn_result) ->
@@ -346,19 +410,7 @@ let cmd_verify args =
      Printf.printf "prescreen: discharged %d of %d obligation(s) without SMT\n"
        (Verus.Driver.prescreen_discharged r)
        total);
-  (* A run that failed *only* on Unknown answers (solver deadline /
-     instantiation budget) is a budget exhaustion, not a refutation: exit
-     3 so callers can distinguish "needs a stronger rung" from "has a
-     counterexample". *)
-  Printf.printf "== %s / %s: %s in %.3fs, %d query bytes\n" prog_name
-    profile.Verus.Profiles.name
-    (if r.Verus.Driver.pr_ok then if !certify then "VERIFIED (certified)" else "VERIFIED"
-     else if cert_failed r then "CERTIFICATE REJECTED"
-     else if budget_only r then "UNKNOWN (solver budget exhausted)"
-     else "FAILED")
-    r.Verus.Driver.pr_time_s r.Verus.Driver.pr_bytes;
-  Smt.Solver.dump_debug ();
-  exit (result_exit_code r)
+  finish q job.Verus.Vservice.done_
 
 (* --------------------------- analyze ------------------------------ *)
 
@@ -367,23 +419,10 @@ let cmd_verify args =
    findings.  No solver runs; informational, always exit 0 (use
    `verify --prescreen` for a verdict). *)
 let cmd_analyze args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
-  let prog = apply_fn_filter (find_program prog_name) !fn_filter in
+  let o = parse_opts ~flags:[ "--fn" ] args in
+  let q = target Rpc.Verify o in
+  let profile, prog = resolve o q in
+  let prog_name = q.Rpc.q_program in
   let targets =
     List.filter
       (fun (fd : Verus.Vir.fndecl) ->
@@ -437,147 +476,53 @@ let cmd_analyze args =
 (* --------------------------- profile ------------------------------ *)
 
 let cmd_profile args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let jobs = ref 1 in
-  let json = ref false in
-  let top = ref 10 in
-  let liberal = ref false in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | "--liberal" :: rest ->
-      liberal := true;
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--top" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> top := n
-      | _ -> die_usage "--top expects a positive integer, got %s" v);
-      parse rest
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> jobs := n
-      | _ -> die_usage "--jobs expects a positive integer, got %s" v);
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
-  let profile = if !liberal then Verus.Profiles.liberal profile else profile in
-  let prog = apply_fn_filter (find_program prog_name) !fn_filter in
-  (* Lint in warn mode so the VL010 cross-check has findings to compare
-     the measured hot-spots against; warn never aborts the run. *)
-  let config =
-    {
-      (Verus.Driver.Config.with_jobs !jobs Verus.Driver.Config.default) with
-      Verus.Driver.Config.lint = Verus.Driver.Lint_warn;
-      profile = true;
-      ladder = ladder_override ~ladder:!ladder_name ~rung:!rung;
-      cache =
-        Option.map
-          (fun dir -> { Verus.Vcache.dir })
-          (resolve_cache_dir ~no_cache:!no_cache ~cache_dir:!cache_dir);
-    }
-  in
-  let r = Verus.Driver.verify_program ~config profile prog in
-  if !json then
-    print_endline (Vbase.Json.to_string ~indent:true (Verus.Profile_report.to_json ~prog_name r))
+  let o = parse_opts ~flags:([ "--json"; "--top"; "--liberal" ] @ job_flags) args in
+  let q = target Rpc.Profile o in
+  let job = run_local o q in
+  let j = job.Verus.Vservice.done_ in
+  if o.json then print_endline (J.to_string ~indent:true (Option.get (J.member "report" j)))
   else begin
+    let r = verified job in
     List.iter
       (fun e -> Printf.printf "front-end error: %s\n" e)
       r.Verus.Driver.pr_front_end_errors;
-    print_string (Verus.Profile_report.render_text ~top:!top ~prog_name r);
-    cache_summary_line r;
-    ladder_summary_line r
+    print_string (Verus.Profile_report.render_text ~top:o.top ~prog_name:q.Rpc.q_program r);
+    print_done q j
   end;
-  exit (result_exit_code r)
+  exit (exit_code j)
 
 (* ---------------------------- lint -------------------------------- *)
 
 let cmd_lint args =
-  let prog_names = ref [] in
-  let profile_name = ref "Verus" in
-  let strict = ref false in
-  let liberal = ref false in
-  let json = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--all" :: rest ->
-      prog_names := List.map fst programs;
-      parse rest
-    | "--strict" :: rest ->
-      strict := true;
-      parse rest
-    | "--liberal" :: rest ->
-      liberal := true;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if List.mem_assoc a programs then prog_names := !prog_names @ [ a ]
-       else profile_name := a);
-      parse rest
+  let o = parse_opts ~flags:[ "--all"; "--strict"; "--liberal"; "--json" ] args in
+  let names, others = List.partition (fun a -> List.mem_assoc a programs) o.args in
+  let names = if o.all || names = [] then List.map fst programs else names in
+  let profile = match List.rev others with f :: _ -> f | [] -> o.q.Rpc.q_profile in
+  let lint name =
+    let q = { o.q with q_kind = Rpc.Lint; q_program = name; q_profile = profile } in
+    match run_local o q with
+    | { Verus.Vservice.run = Verus.Vservice.Linted ds; done_; _ } -> (q, ds, done_)
+    | { Verus.Vservice.run = Verus.Vservice.Verified _; _ } -> assert false
   in
-  parse args;
-  let prog_names = if !prog_names = [] then List.map fst programs else !prog_names in
-  let profile = find_profile !profile_name in
-  let profile = if !liberal then Verus.Profiles.liberal profile else profile in
-  if !json then begin
+  if o.json then begin
     (* One versioned document per invocation: the schema has a single
        "program" key, so --json covers exactly one program. *)
     let name =
-      match prog_names with
+      match names with
       | [ n ] -> n
       | _ -> die_usage "lint --json expects exactly one program"
     in
-    let ds = Verus.Vlint.lint profile (find_program name) in
+    let _, ds, j = lint name in
     print_endline
-      (Vbase.Json.to_string ~indent:true
-         (Verus.Vlint.report_to_json ~prog_name:name
-            ~profile_name:profile.Verus.Profiles.name ds));
-    let n_err = List.length (Verus.Vlint.errors ds) in
-    let n_warn =
-      List.length (List.filter (fun d -> d.Verus.Vlint.severity = Verus.Vlint.Warn) ds)
-    in
-    exit (if n_err > 0 || (!strict && n_warn > 0) then 1 else 0)
+      (J.to_string ~indent:true
+         (Verus.Vlint.report_to_json ~prog_name:name ~profile_name:(member_str j "profile") ds));
+    exit (exit_code j)
   end;
-  let n_err = ref 0 and n_warn = ref 0 and n_info = ref 0 in
+  let n_err = ref 0 and n_warn = ref 0 and n_info = ref 0 and failing = ref false in
   List.iter
     (fun name ->
-      let prog = find_program name in
-      let ds = Verus.Vlint.lint profile prog in
-      Printf.printf "%-16s %s: %d finding(s)\n" name profile.Verus.Profiles.name
-        (List.length ds);
+      let q, ds, j = lint name in
+      Printf.printf "%-16s %s: %d finding(s)\n" name (member_str j "profile") (List.length ds);
       List.iter
         (fun (d : Verus.Vlint.diag) ->
           (match d.Verus.Vlint.severity with
@@ -585,11 +530,12 @@ let cmd_lint args =
           | Verus.Vlint.Warn -> incr n_warn
           | Verus.Vlint.Info -> incr n_info);
           print_endline ("  " ^ Verus.Vlint.diag_to_string d))
-        ds)
-    prog_names;
+        ds;
+      print_done q j;
+      if exit_code j <> 0 then failing := true)
+    names;
   Printf.printf "== lint: %d error(s), %d warning(s), %d info\n" !n_err !n_warn !n_info;
-  let failing = !n_err > 0 || (!strict && !n_warn > 0) in
-  exit (if failing then 1 else 0)
+  exit (if !failing then 1 else 0)
 
 (* ---------------------------- cache ------------------------------- *)
 
@@ -608,7 +554,7 @@ let cmd_cache args =
     | _ -> die_usage "usage: verus_cli cache stats|clear [DIR]"
   in
   let dir =
-    match resolve_cache_dir ~no_cache:false ~cache_dir:dir_arg with
+    match cache_dir dir_arg with
     | Some d -> d
     | None -> die_usage "cache %s needs a directory (argument or VERUS_CACHE)" action
   in
@@ -652,37 +598,20 @@ let cmd_cache args =
    arrive in the done event and the client mirrors their exit_code. *)
 let exit_daemon_io = 6
 
-let default_socket () =
-  match Sys.getenv_opt "VERUSD_SOCKET" with
-  | Some p when p <> "" -> p
-  | _ -> "verusd.sock"
+let socket_path o =
+  match (o.socket, Sys.getenv_opt "VERUSD_SOCKET") with
+  | Some p, _ -> p
+  | None, Some p when p <> "" -> p
+  | None, _ -> "verusd.sock"
 
 let cmd_daemon args =
-  let socket = ref None in
-  let domains = ref 4 in
-  let cache_dir = ref (Sys.getenv_opt "VERUS_CACHE") in
-  let rec parse = function
-    | [] -> ()
-    | "--socket" :: v :: rest ->
-      socket := Some v;
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--domains" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> domains := n
-      | _ -> die_usage "--domains expects a positive integer, got %s" v);
-      parse rest
-    | a :: _ -> die_usage "unknown daemon argument %s" a
-  in
-  parse args;
-  let socket_path = match !socket with Some p -> p | None -> default_socket () in
-  let cache_dir = match !cache_dir with Some "" -> None | c -> c in
-  Printf.printf "verusd: listening on %s (%d domain%s%s)\n%!" socket_path !domains
-    (if !domains = 1 then "" else "s")
+  let o = parse_opts ~flags:[ "--socket"; "--domains"; "--cache" ] args in
+  (match o.args with a :: _ -> die_usage "unknown daemon argument %s" a | [] -> ());
+  let socket_path = socket_path o and cache_dir = cache_dir o.cache_dir in
+  Printf.printf "verusd: listening on %s (%d domain%s%s)\n%!" socket_path o.domains
+    (if o.domains = 1 then "" else "s")
     (match cache_dir with Some d -> ", cache " ^ d | None -> ", no cache");
-  match Verus.Vservice.serve ~socket_path ~domains:!domains ?cache_dir () with
+  match Verus.Vservice.serve ~socket_path ~domains:o.domains ?cache_dir () with
   | Ok () ->
     Printf.printf "verusd: shut down\n%!";
     exit 0
@@ -693,143 +622,70 @@ let cmd_daemon args =
 (* ---------------------------- client ------------------------------- *)
 
 let print_stream_event = function
-  | Verusd.Rpc.E_vc { fn; vc; answer; reason; time_s; cached; rung } ->
+  | Rpc.E_vc { fn; vc; answer; reason; time_s; cached; rung } ->
     Printf.printf "vc  %-16s %-44s %-8s %.3fs%s%s%s\n%!" fn vc answer time_s
       (if cached then "  (cached)" else "")
       (match rung with Some r -> Printf.sprintf "  (rung %d)" r | None -> "")
       (match reason with Some r -> "  [" ^ r ^ "]" | None -> "")
-  | Verusd.Rpc.E_fn { fn; ok; time_s; vcs } ->
+  | Rpc.E_fn { fn; ok; time_s; vcs } ->
     Printf.printf "fn  %-16s %-44s %-8s %.3fs\n%!" fn
       (Printf.sprintf "(%d vc%s)" vcs (if vcs = 1 then "" else "s"))
       (if ok then "OK" else "FAIL")
       time_s
   | _ -> ()
 
-let done_int j key = match Vbase.Json.member key j with Some (Vbase.Json.Int n) -> Some n | _ -> None
-let done_str j key = match Vbase.Json.member key j with Some (Vbase.Json.String s) -> Some s | _ -> None
-
-let print_done j =
-  let s key = Option.value ~default:"?" (done_str j key) in
-  match done_str j "kind" with
-  | Some "shutdown" -> print_endline "daemon shut down"
-  | _ ->
-    let time_s =
-      match Vbase.Json.member "time_s" j with
-      | Some v -> Option.value ~default:0.0 (Vbase.Json.to_float v)
-      | None -> 0.0
-    in
-    let verdict =
-      match done_int j "exit_code" with
-      | Some 0 -> "VERIFIED"
-      | Some 3 -> "UNKNOWN (solver budget exhausted)"
-      | Some 5 -> "CERTIFICATE REJECTED"
-      | _ -> "FAILED"
-    in
-    let verdict = match done_str j "kind" with Some "lint" -> (match done_int j "exit_code" with Some 0 -> "CLEAN" | _ -> "FINDINGS") | _ -> verdict in
-    (match Vbase.Json.member "cache" j with
-    | Some (Vbase.Json.Obj _ as c) ->
-      let ci k = Option.value ~default:0 (done_int c k) in
-      Printf.printf "cache: %d hit(s), %d miss(es), %d invalidation(s), %d store(s)\n"
-        (ci "hits") (ci "misses") (ci "invalidations") (ci "stores")
-    | _ -> ());
-    Printf.printf "== %s / %s: %s in %.3fs (digest %s)\n" (s "program") (s "profile") verdict
-      time_s (s "digest")
-
 let cmd_client args =
-  let meth = ref None in
-  let prog_name = ref None in
-  let profile_name = ref None in
-  let socket = ref None in
-  let lint = ref None in
-  let certify = ref false in
-  let prescreen = ref false in
-  let no_cache = ref false in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let stream = ref true in
-  let rec parse = function
-    | [] -> ()
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--socket" :: v :: rest ->
-      socket := Some v;
-      parse rest
-    | "--lint" :: v :: rest ->
-      (match v with
-      | "ignore" -> lint := Some Verusd.Rpc.Lint_off
-      | "warn" -> lint := Some Verusd.Rpc.Lint_warn
-      | "strict" -> lint := Some Verusd.Rpc.Lint_strict
-      | _ -> die_usage "--lint expects ignore|warn|strict, got %s" v);
-      parse rest
-    | "--certify" :: rest ->
-      certify := true;
-      parse rest
-    | "--prescreen" :: rest ->
-      prescreen := true;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--no-stream" :: rest ->
-      stream := false;
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !meth = None then meth := Some a
-       else if !prog_name = None then prog_name := Some a
-       else profile_name := Some a);
-      parse rest
+  let o =
+    parse_opts
+      ~flags:
+        [
+          "--socket"; "--lint"; "--certify"; "--prescreen"; "--no-cache"; "--ladder"; "--rung";
+          "--no-stream";
+        ]
+      args
   in
-  parse args;
-  let socket_path = match !socket with Some p -> p | None -> default_socket () in
-  let job kind =
-    let program = match !prog_name with Some p -> p | None -> "singly_linked" in
-    Verusd.Rpc.M_job
-      (Verusd.Rpc.query ?profile:!profile_name ?lint:!lint ~certify:!certify
-         ~analyze:!prescreen ~cache:(not !no_cache) ?ladder:!ladder_name ?rung:!rung
-         ~stream:!stream kind program)
+  let meth, o =
+    match o.args with
+    | m :: rest -> (m, { o with args = rest })
+    | [] -> die_usage "client needs a method (ping|status|shutdown|verify|lint|profile)"
   in
   let method_ =
-    match !meth with
-    | Some "ping" -> Verusd.Rpc.M_ping
-    | Some "status" -> Verusd.Rpc.M_status
-    | Some "shutdown" -> Verusd.Rpc.M_shutdown
-    | Some "verify" -> job Verusd.Rpc.Verify
-    | Some "lint" -> job Verusd.Rpc.Lint
-    | Some "profile" -> job Verusd.Rpc.Profile
-    | Some m -> die_usage "unknown client method %s" m
-    | None -> die_usage "client needs a method (ping|status|shutdown|verify|lint|profile)"
+    match meth with
+    | "ping" -> Rpc.M_ping
+    | "status" -> Rpc.M_status
+    | "shutdown" -> Rpc.M_shutdown
+    | "verify" -> Rpc.M_job (target Rpc.Verify o)
+    | "lint" -> Rpc.M_job (target Rpc.Lint o)
+    | "profile" -> Rpc.M_job (target Rpc.Profile o)
+    | m -> die_usage "unknown client method %s" m
   in
-  match Verusd.Client.connect ~socket_path with
+  match Verusd.Client.connect ~socket_path:(socket_path o) with
   | Error e ->
     Printf.eprintf "client: %s\n" e;
     exit exit_daemon_io
   | Ok c -> (
-    let r = Verusd.Client.call c ~on_event:print_stream_event (Verusd.Rpc.request method_) in
+    let r = Verusd.Client.call c ~on_event:print_stream_event (Rpc.request method_) in
     Verusd.Client.close c;
-    match r with
-    | Error e ->
+    match (r, method_) with
+    | Error e, _ ->
       Printf.eprintf "client: %s\n" e;
       exit exit_daemon_io
-    | Ok (Verusd.Rpc.E_pong) ->
+    | Ok Rpc.E_pong, _ ->
       print_endline "pong";
       exit 0
-    | Ok (Verusd.Rpc.E_status j) ->
-      print_endline (Vbase.Json.to_string ~indent:true j);
+    | Ok (Rpc.E_status j), _ ->
+      print_endline (J.to_string ~indent:true j);
       exit 0
-    | Ok (Verusd.Rpc.E_done j) ->
-      print_done j;
-      exit (Option.value ~default:0 (done_int j "exit_code"))
-    | Ok (Verusd.Rpc.E_error { code; message }) ->
+    | Ok (Rpc.E_done _), Rpc.M_shutdown ->
+      print_endline "daemon shut down";
+      exit 0
+    | Ok (Rpc.E_done j), Rpc.M_job q ->
+      Option.iter (fun rep -> print_endline (J.to_string ~indent:true rep)) (J.member "report" j);
+      finish q j
+    | Ok (Rpc.E_error { code; message }), _ ->
       Printf.eprintf "client: daemon error %s: %s\n" code message;
       exit exit_daemon_io
-    | Ok _ ->
+    | Ok _, _ ->
       Printf.eprintf "client: unexpected terminal event\n";
       exit exit_daemon_io)
 

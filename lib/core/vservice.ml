@@ -1,9 +1,9 @@
-(* The daemon's service layer: resolves verus-rpc/1 requests against
-   the bundled program/profile tables, runs them through
-   Driver.verify_program on one long-lived Sched pool, and streams
-   verdict events back through the transport's [emit].  The CLI reuses
-   the same tables and exit-code policy, so daemon and CLI answers for
-   one job are the same computation. *)
+(* The one job path: a verus-rpc/1 query, resolved against the bundled
+   program/profile tables, becomes one Driver.Config ([config]) and one
+   run with its done payload ([run_job]).  The daemon's handler calls it
+   on its long-lived Sched pool; the CLI calls it inline or on a
+   transient pool — so a daemon answer and a local answer for one job
+   are the same computation. *)
 
 (* ------------------- bundled programs and profiles ----------------- *)
 
@@ -81,64 +81,21 @@ let cert_failed (r : Driver.program_result) =
         fnr.Driver.fnr_vcs)
     r.Driver.pr_fns
 
-let exit_cert_rejected = 5
-
 let result_exit_code (r : Driver.program_result) =
-  if r.Driver.pr_ok then 0
-  else if cert_failed r then exit_cert_rejected
-  else if budget_only r then 3
-  else 1
+  if r.Driver.pr_ok then 0 else if cert_failed r then 5 else if budget_only r then 3 else 1
 
-(* ---------------------------- the engine --------------------------- *)
-
-type t = {
-  pool : Verusd.Sched.t;
-  cache_dir : string option;
-  started_at : float;
-  n_requests : int Atomic.t;
-}
-
-let create ~domains ?cache_dir () =
-  {
-    pool = Verusd.Sched.create ~domains;
-    cache_dir;
-    started_at = Unix.gettimeofday ();
-    n_requests = Atomic.make 0;
-  }
-
-let shutdown t = Verusd.Sched.shutdown t.pool
-
-(* ---------------------------- job runners --------------------------- *)
+(* ------------------------------ one job ----------------------------- *)
 
 module J = Vbase.Json
 module Rpc = Verusd.Rpc
-
-let answer_string = function
-  | Smt.Solver.Unsat -> "unsat"
-  | Smt.Solver.Sat -> "sat"
-  | Smt.Solver.Unknown _ -> "unknown"
-
-let answer_reason = function Smt.Solver.Unknown m -> Some m | _ -> None
-
-(* A warm hit in the shared cache, whether or not the entry carried a
-   certificate digest — what the protocol's per-VC [cached] flag means. *)
-let vc_cached (vr : Driver.vc_result) =
-  match vr.Driver.vcr_cert with
-  | Driver.Cert_cached _ | Driver.Cert_uncertified_hit -> true
-  | _ -> false
-
-let lint_level_to_mode = function
-  | Rpc.Lint_off -> Driver.Lint_ignore
-  | Rpc.Lint_warn -> Driver.Lint_warn
-  | Rpc.Lint_strict -> Driver.Lint_strict
 
 let kind_string = function
   | Rpc.Verify -> "verify"
   | Rpc.Lint -> "lint"
   | Rpc.Profile -> "profile"
 
-(* The one resolver for automation strength, shared by the daemon and
-   the CLI: a ladder name and/or a rung pin. *)
+(* The one resolver for automation strength: a ladder name and/or a
+   rung pin. *)
 let resolve_ladder ~ladder ~rung : (Vladder.Ladder.t option, string) result =
   match (ladder, rung) with
   | None, None -> Ok None
@@ -158,6 +115,29 @@ let resolve_ladder ~ladder ~rung : (Vladder.Ladder.t option, string) result =
         match rung with
         | None -> Ok (Some l)
         | Some r -> Result.map Option.some (Vladder.Ladder.pin l r))
+
+(* The one query-to-Config mapping.  Profile jobs lint at warn, whatever
+   [q_lint] says: the VL010 cross-check needs findings to compare measured
+   hot-spots against. *)
+let config ~pool ~cache_dir (q : Rpc.query) =
+  Result.map
+    (fun ladder ->
+      {
+        Driver.Config.pool;
+        lint =
+          (match (q.Rpc.q_kind, q.Rpc.q_lint) with
+          | Rpc.Profile, _ -> Driver.Lint_warn
+          | _, Rpc.Lint_off -> Driver.Lint_ignore
+          | _, Rpc.Lint_warn -> Driver.Lint_warn
+          | _, Rpc.Lint_strict -> Driver.Lint_strict);
+        profile = q.Rpc.q_kind = Rpc.Profile;
+        certify = q.Rpc.q_certify;
+        analyze = q.Rpc.q_analyze;
+        ladder;
+        cache =
+          (match cache_dir with Some dir when q.Rpc.q_cache -> Some { Vcache.dir } | _ -> None);
+      })
+    (resolve_ladder ~ladder:q.Rpc.q_ladder ~rung:q.Rpc.q_rung)
 
 let ladder_stats_json (r : Driver.program_result) =
   match r.Driver.pr_ladder with
@@ -194,15 +174,10 @@ let cache_stats_json (r : Driver.program_result) =
           ] );
     ]
 
-(* A lint job runs only the static analyses — no SMT work, mirroring
-   [verus_cli lint].  The digest covers the rendered findings, so two
-   daemons (or a daemon and the CLI) disagreeing on lint output is
-   detectable the same way verification digests are compared. *)
-let run_lint_job ~(q : Rpc.query) (profile : Profiles.t) prog =
-  let t0 = Unix.gettimeofday () in
-  let ds = Vlint.lint profile prog in
-  let time_s = Unix.gettimeofday () -. t0 in
-  let strict = q.Rpc.q_lint = Rpc.Lint_strict in
+(* A lint job runs only the static analyses — no SMT work.  The digest
+   covers the rendered findings, so two lint answers are compared the
+   same way verification digests are. *)
+let lint_done ~(q : Rpc.query) ~strict (profile : Profiles.t) ds ~time_s =
   let count sev = List.length (List.filter (fun (d : Vlint.diag) -> d.Vlint.severity = sev) ds) in
   let errors = count Vlint.Error and warns = count Vlint.Warn in
   let ok = errors = 0 && ((not strict) || warns = 0) in
@@ -224,55 +199,7 @@ let run_lint_job ~(q : Rpc.query) (profile : Profiles.t) prog =
       ("strict", J.Bool strict);
     ]
 
-let run_verify_job t ~emit ~id ~(q : Rpc.query) ~ladder (profile : Profiles.t) prog =
-  let is_profile = q.Rpc.q_kind = Rpc.Profile in
-  let config =
-    {
-      Driver.Config.lint =
-        (* A profile job always lints in warn mode: the VL010 cross-check
-           needs findings to compare measured hot-spots against. *)
-        (if is_profile then Driver.Lint_warn else lint_level_to_mode q.Rpc.q_lint);
-      profile = is_profile;
-      certify = q.Rpc.q_certify;
-      analyze = q.Rpc.q_analyze;
-      ladder;
-      cache =
-        (match t.cache_dir with
-        | Some dir when q.Rpc.q_cache -> Some { Vcache.dir }
-        | _ -> None);
-      pool = Driver.Config.Borrowed t.pool;
-    }
-  in
-  let on_progress =
-    if not q.Rpc.q_stream then None
-    else
-      Some
-        (function
-        | Driver.Vc_done (fn, vr) ->
-          emit
-            (Rpc.event_to_json ~id
-               (Rpc.E_vc
-                  {
-                    fn;
-                    vc = vr.Driver.vcr_name;
-                    answer = answer_string vr.Driver.vcr_answer;
-                    reason = answer_reason vr.Driver.vcr_answer;
-                    time_s = vr.Driver.vcr_time_s;
-                    cached = vc_cached vr;
-                    rung = vr.Driver.vcr_rung;
-                  }))
-        | Driver.Fn_done fnr ->
-          emit
-            (Rpc.event_to_json ~id
-               (Rpc.E_fn
-                  {
-                    fn = fnr.Driver.fnr_name;
-                    ok = fnr.Driver.fnr_ok;
-                    time_s = fnr.Driver.fnr_time_s;
-                    vcs = List.length fnr.Driver.fnr_vcs;
-                  })))
-  in
-  let r = Driver.verify_program ~config ?on_progress profile prog in
+let verify_done ~(q : Rpc.query) (profile : Profiles.t) (r : Driver.program_result) =
   let vcs =
     List.fold_left (fun acc (fnr : Driver.fn_result) -> acc + List.length fnr.Driver.fnr_vcs) 0
       r.Driver.pr_fns
@@ -292,7 +219,80 @@ let run_verify_job t ~emit ~id ~(q : Rpc.query) ~ladder (profile : Profiles.t) p
        ( "front_end_errors",
          J.List (List.map (fun e -> J.String e) r.Driver.pr_front_end_errors) );
      ]
-    @ cache_stats_json r @ ladder_stats_json r)
+    @ cache_stats_json r @ ladder_stats_json r
+    @
+    if q.Rpc.q_kind = Rpc.Profile then
+      [ ("report", Profile_report.to_json ~prog_name:q.Rpc.q_program r) ]
+    else [])
+
+type run = Verified of Driver.program_result | Linted of Vlint.diag list
+type job = { config : Driver.Config.t; run : run; done_ : J.t }
+
+let run_job ?on_progress ~pool ~cache_dir (q : Rpc.query) (profile : Profiles.t) prog =
+  Result.map
+    (fun config ->
+      match q.Rpc.q_kind with
+      | Rpc.Lint ->
+        let t0 = Unix.gettimeofday () in
+        let ds = Vlint.lint profile prog in
+        let strict = config.Driver.Config.lint = Driver.Lint_strict in
+        let done_ = lint_done ~q ~strict profile ds ~time_s:(Unix.gettimeofday () -. t0) in
+        { config; run = Linted ds; done_ }
+      | Rpc.Verify | Rpc.Profile ->
+        let r = Driver.verify_program ~config ?on_progress profile prog in
+        { config; run = Verified r; done_ = verify_done ~q profile r })
+    (config ~pool ~cache_dir q)
+
+(* ---------------------------- the engine --------------------------- *)
+
+type t = {
+  pool : Verusd.Sched.t;
+  cache_dir : string option;
+  started_at : float;
+  n_requests : int Atomic.t;
+}
+
+let create ~domains ?cache_dir () =
+  {
+    pool = Verusd.Sched.create ~domains;
+    cache_dir;
+    started_at = Unix.gettimeofday ();
+    n_requests = Atomic.make 0;
+  }
+
+let shutdown t = Verusd.Sched.shutdown t.pool
+
+let answer_string = function
+  | Smt.Solver.Unsat -> "unsat"
+  | Smt.Solver.Sat -> "sat"
+  | Smt.Solver.Unknown _ -> "unknown"
+
+(* Verdict events as obligations and functions complete.  [cached] is a
+   warm hit in the shared cache, whether or not the entry carried a
+   certificate digest. *)
+let stream_event = function
+  | Driver.Vc_done (fn, vr) ->
+    Rpc.E_vc
+      {
+        fn;
+        vc = vr.Driver.vcr_name;
+        answer = answer_string vr.Driver.vcr_answer;
+        reason = (match vr.Driver.vcr_answer with Smt.Solver.Unknown m -> Some m | _ -> None);
+        time_s = vr.Driver.vcr_time_s;
+        cached =
+          (match vr.Driver.vcr_cert with
+          | Driver.Cert_cached _ | Driver.Cert_uncertified_hit -> true
+          | _ -> false);
+        rung = vr.Driver.vcr_rung;
+      }
+  | Driver.Fn_done fnr ->
+    Rpc.E_fn
+      {
+        fn = fnr.Driver.fnr_name;
+        ok = fnr.Driver.fnr_ok;
+        time_s = fnr.Driver.fnr_time_s;
+        vcs = List.length fnr.Driver.fnr_vcs;
+      }
 
 let status_json t =
   let s = Verusd.Sched.stats t.pool in
@@ -321,8 +321,7 @@ let status_json t =
 let handler t : Verusd.Server.handler =
  fun ~emit (req : Rpc.request) ->
   Atomic.incr t.n_requests;
-  let id = req.Rpc.r_id in
-  let send ev = emit (Rpc.event_to_json ~id ev) in
+  let send ev = emit (Rpc.event_to_json ~id:req.Rpc.r_id ev) in
   match req.Rpc.r_method with
   | Rpc.M_ping ->
     send Rpc.E_pong;
@@ -336,97 +335,17 @@ let handler t : Verusd.Server.handler =
          (J.Obj
             [ ("kind", J.String "shutdown"); ("ok", J.Bool true); ("exit_code", J.Int 0) ]));
     Verusd.Server.Stop
-  | Rpc.M_job q -> (
-    match (find_program q.Rpc.q_program, find_profile q.Rpc.q_profile) with
-    | Error msg, _ | _, Error msg ->
-      send (Rpc.E_error { Rpc.code = "RPC004"; message = msg });
-      Verusd.Server.Continue
-    | Ok prog, Ok profile -> (
-      match resolve_ladder ~ladder:q.Rpc.q_ladder ~rung:q.Rpc.q_rung with
-      | Error msg ->
-        send (Rpc.E_error { Rpc.code = "RPC004"; message = msg });
-        Verusd.Server.Continue
-      | Ok ladder ->
-        let done_ =
-          match q.Rpc.q_kind with
-          | Rpc.Lint -> run_lint_job ~q profile prog
-          | Rpc.Verify | Rpc.Profile -> run_verify_job t ~emit ~id ~q ~ladder profile prog
-        in
-        send (Rpc.E_done done_);
-        Verusd.Server.Continue))
-
-(* --------------------- bench-document schema ----------------------- *)
-
-let bench_schema = "verus-daemon-bench/1"
-
-let validate_daemon_bench (j : J.t) =
-  let ( let* ) = Result.bind in
-  let str o k = match J.member k o with Some (J.String s) -> Some s | _ -> None in
-  let num o k = match J.member k o with Some v -> J.to_float v | None -> None in
-  let int_ o k = match J.member k o with Some (J.Int n) -> Some n | _ -> None in
-  let bool_ o k = match J.member k o with Some (J.Bool b) -> Some b | _ -> None in
-  let need what o k f =
-    match f o k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s: missing or mistyped %S" what k)
-  in
-  let* () =
-    match str j "schema" with
-    | Some s when s = bench_schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "schema %S (expected %s)" s bench_schema)
-    | None -> Error "missing schema tag"
-  in
-  let* cold =
-    match J.member "cold" j with
-    | Some (J.Obj _ as c) -> Ok c
-    | _ -> Error "missing cold object"
-  in
-  let* _ = need "cold" cold "baseline_jobs" int_ in
-  let* _ = need "cold" cold "baseline_total_s" num in
-  let* _ = need "cold" cold "daemon_total_s" num in
-  let* rows =
-    match J.member "rows" cold with
-    | Some (J.List (_ :: _ as rows)) -> Ok rows
-    | _ -> Error "cold.rows: missing or empty"
-  in
-  let* () =
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* _ = need "cold.rows[]" row "program" str in
-        let* _ = need "cold.rows[]" row "baseline_s" num in
-        let* _ = need "cold.rows[]" row "daemon_s" num in
-        let* ok = need "cold.rows[]" row "digest_equal" bool_ in
-        if ok then Ok () else Error "cold.rows[]: digest_equal is false"
-      )
-      (Ok ()) rows
-  in
-  let* warm =
-    match J.member "warm" j with
-    | Some (J.Obj _ as w) -> Ok w
-    | _ -> Error "missing warm object"
-  in
-  let* _ = need "warm" warm "hits" int_ in
-  let* _ = need "warm" warm "misses" int_ in
-  let* rate = need "warm" warm "hit_rate" num in
-  let* () =
-    if rate >= 0.0 && rate <= 1.0 then Ok () else Error "warm.hit_rate out of [0,1]"
-  in
-  let* bursts =
-    match J.member "burst" j with
-    | Some (J.List (_ :: _ as bs)) -> Ok bs
-    | _ -> Error "burst: missing or empty"
-  in
-  List.fold_left
-    (fun acc b ->
-      let* () = acc in
-      let* _ = need "burst[]" b "domains" int_ in
-      let* _ = need "burst[]" b "tasks" int_ in
-      let* _ = need "burst[]" b "p50_us" num in
-      let* _ = need "burst[]" b "p90_us" num in
-      let* _ = need "burst[]" b "p99_us" num in
-      Ok ())
-    (Ok ()) bursts
+  | Rpc.M_job q ->
+    let on_progress = if q.Rpc.q_stream then Some (fun p -> send (stream_event p)) else None in
+    (match
+       Result.bind (find_program q.Rpc.q_program) (fun prog ->
+           Result.bind (find_profile q.Rpc.q_profile) (fun profile ->
+               run_job ?on_progress ~pool:(Driver.Config.Borrowed t.pool) ~cache_dir:t.cache_dir q
+                 profile prog))
+     with
+    | Ok job -> send (Rpc.E_done job.done_)
+    | Error message -> send (Rpc.E_error { Rpc.code = "RPC004"; message }));
+    Verusd.Server.Continue
 
 (* ------------------------------ serve ------------------------------ *)
 

@@ -20,9 +20,6 @@ type t = {
   queues : element Queue.t array;
   ready : bytes Queue.t array; (* sequenced payloads released in order *)
   delayed : (int * element) list ref array; (* per dst: (polls left, msg) *)
-  reorder : bool; (* legacy knob *)
-  duplicate_pct : int; (* legacy knob *)
-  rng : Vbase.Rng.t; (* legacy knob stream *)
   faults : Vbase.Faultplan.t option;
   sequenced : bool;
   send_seqs : (int * int, int) Hashtbl.t; (* (src,dst) -> last seq sent *)
@@ -40,15 +37,11 @@ type t = {
   mutable n_dedup : int;
 }
 
-let create ?(reorder = false) ?(duplicate_pct = 0) ?(seed = 1) ?faults ?(sequenced = false)
-    ~endpoints () =
+let create ?faults ?(sequenced = false) ~endpoints () =
   {
     queues = Array.init endpoints (fun _ -> Queue.create ());
     ready = Array.init endpoints (fun _ -> Queue.create ());
     delayed = Array.init endpoints (fun _ -> ref []);
-    reorder;
-    duplicate_pct;
-    rng = Vbase.Rng.create ~seed;
     faults;
     sequenced;
     send_seqs = Hashtbl.create 16;
@@ -95,11 +88,7 @@ let deliver_one t ~src ~dst elt =
   end
   else begin
     let q = t.queues.(dst) in
-    let overtake =
-      Queue.length q > 0
-      && ((t.reorder && Vbase.Rng.bool t.rng) || consult t "net.reorder")
-    in
-    if overtake then begin
+    if Queue.length q > 0 && consult t "net.reorder" then begin
       (* Swap with the current head: the newcomer overtakes one message. *)
       t.n_reordered <- t.n_reordered + 1;
       let head = Queue.pop q in
@@ -116,8 +105,7 @@ let send_element t ~src ~dst ~droppable elt payload_len =
   if droppable && consult t "net.drop" then t.n_dropped <- t.n_dropped + 1
   else begin
     let copies =
-      let legacy_dup = t.duplicate_pct > 0 && Vbase.Rng.int t.rng 100 < t.duplicate_pct in
-      if legacy_dup || consult t "net.dup" then begin
+      if consult t "net.dup" then begin
         t.n_dup <- t.n_dup + 1;
         2
       end

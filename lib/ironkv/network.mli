@@ -29,19 +29,10 @@
 
 type t
 
-val create :
-  ?reorder:bool ->
-  ?duplicate_pct:int ->
-  ?seed:int ->
-  ?faults:Vbase.Faultplan.t ->
-  ?sequenced:bool ->
-  endpoints:int ->
-  unit ->
-  t
-(** [endpoints] mailboxes.  [reorder]/[duplicate_pct] are the legacy
-    seeded knobs (kept for the protocol robustness tests); [faults]
-    attaches a fault plan consulted as documented above; [sequenced]
-    enables the sequenced-channel layer for {!send_seq} traffic. *)
+val create : ?faults:Vbase.Faultplan.t -> ?sequenced:bool -> endpoints:int -> unit -> t
+(** [endpoints] mailboxes.  [faults] attaches a fault plan consulted as
+    documented above; [sequenced] enables the sequenced-channel layer for
+    {!send_seq} traffic. *)
 
 val faults : t -> Vbase.Faultplan.t option
 

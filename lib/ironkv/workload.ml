@@ -532,64 +532,3 @@ let recovery_probe ?(records = 20_000) ?(payload = 64) ?(group = 64) () =
   match Durable.recover ~group mem with
   | Error e -> failwith ("recovery_probe: " ^ e)
   | Ok (_, ops, routes) -> (Unix.gettimeofday () -. t0, List.length ops + List.length routes)
-
-(* --- bench schema ------------------------------------------------------ *)
-
-let kv_bench_schema = "verus-kv-bench/1"
-
-(* The bench harness emits BENCH_kv.json through these builders and the
-   test suite validates the result — one implementation for producer and
-   checker, same pattern as the profile trace. *)
-let kv_bench_row ~name ~acked_write_loss (r : result) : Vbase.Json.t =
-  Vbase.Json.Obj
-    [
-      ("name", Vbase.Json.String name);
-      ("ops", Vbase.Json.Int r.ops_done);
-      ("kops_per_s", Vbase.Json.Float r.kops_per_s);
-      ("lat_p50_ms", Vbase.Json.Float r.lat_p50_ms);
-      ("lat_p99_ms", Vbase.Json.Float r.lat_p99_ms);
-      ("crashes", Vbase.Json.Int r.crashes);
-      ("recoveries", Vbase.Json.Int r.recoveries);
-      ("recovery_s", Vbase.Json.Float r.recovery_s);
-      ("replayed", Vbase.Json.Int r.replayed);
-      ("commits", Vbase.Json.Int r.commits);
-      ("retransmissions", Vbase.Json.Int r.retransmissions);
-      ("acked_write_loss", Vbase.Json.Int acked_write_loss);
-    ]
-
-let kv_bench_doc rows : Vbase.Json.t =
-  Vbase.Json.Obj
-    [ ("schema", Vbase.Json.String kv_bench_schema); ("rows", Vbase.Json.List rows) ]
-
-let validate_kv_bench (j : Vbase.Json.t) =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match Vbase.Json.member "schema" j with
-  | Some (Vbase.Json.String s) when s = kv_bench_schema -> (
-    match Vbase.Json.member "rows" j with
-    | Some (Vbase.Json.List rows) ->
-      let check_row i r =
-        let num k =
-          match Option.bind (Vbase.Json.member k r) Vbase.Json.to_float with
-          | Some f when f >= 0.0 -> Ok f
-          | Some _ -> fail "row %d: %S is negative" i k
-          | None -> fail "row %d: missing numeric %S" i k
-        in
-        match Vbase.Json.member "name" r with
-        | Some (Vbase.Json.String _) ->
-          List.fold_left
-            (fun acc k -> match acc with Error _ -> acc | Ok () -> Result.map ignore (num k))
-            (Ok ())
-            [
-              "kops_per_s"; "lat_p50_ms"; "lat_p99_ms"; "crashes"; "recoveries"; "recovery_s";
-              "acked_write_loss";
-            ]
-        | _ -> fail "row %d: missing \"name\"" i
-      in
-      let rec go i = function
-        | [] -> Ok ()
-        | r :: rest -> ( match check_row i r with Ok () -> go (i + 1) rest | e -> e)
-      in
-      if rows = [] then fail "empty \"rows\"" else go 0 rows
-    | _ -> fail "missing \"rows\" array")
-  | Some _ -> fail "wrong schema (want %s)" kv_bench_schema
-  | None -> fail "missing \"schema\""

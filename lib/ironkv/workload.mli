@@ -177,21 +177,3 @@ val recovery_probe : ?records:int -> ?payload:int -> ?group:int -> unit -> float
 (** Isolated recovery-time measurement: append [records] Set records
     (default 20_000 × 64-byte payloads, group commit 64), crash, and time
     {!Durable.recover}.  Returns (seconds, records replayed). *)
-
-val kv_bench_schema : string
-(** ["verus-kv-bench/1"]. *)
-
-val kv_bench_row : name:string -> acked_write_loss:int -> result -> Vbase.Json.t
-(** One BENCH_kv.json row from a {!run} result.  [acked_write_loss] is 0
-    iff the paired storm crosscheck's readback sweep found every
-    acknowledged write (the bench section asserts it). *)
-
-val kv_bench_doc : Vbase.Json.t list -> Vbase.Json.t
-(** Wrap rows into the schema-tagged document {!validate_kv_bench}
-    accepts. *)
-
-val validate_kv_bench : Vbase.Json.t -> (unit, string) Stdlib.result
-(** Validate a BENCH_kv.json document: [schema] must be
-    {!kv_bench_schema} and every row must carry a [name] plus
-    non-negative numeric [kops_per_s], [lat_p50_ms], [lat_p99_ms],
-    [crashes], [recoveries], [recovery_s] and [acked_write_loss]. *)

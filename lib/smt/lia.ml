@@ -16,10 +16,6 @@ type centry = {
   ce_bound : Rat.t;
 }
 
-let dbg_pivots = ref 0
-let dbg_branches = ref 0
-let dbg_checks = ref 0
-
 type t = {
   mutable nvars : int;
   mutable lower : bound option array;
@@ -631,7 +627,6 @@ let simplex_check t =
       in
       (match candidate with
       | Some (xj, _) ->
-        incr dbg_pivots;
         pivot_and_update t bi xj target;
         loop ()
       | None ->
@@ -691,7 +686,6 @@ let rec bb_check t budget =
   if !budget <= 0 then Unknown
   else begin
     decr budget;
-    incr dbg_branches;
     match simplex_check t with
     | Conflict c -> Conflict c
     | Unknown -> Unknown
@@ -734,7 +728,6 @@ let rec bb_check t budget =
   end
 
 let check ?(max_branch = 2000) t =
-  incr dbg_checks;
   match t.conflict with
   | Some c -> Conflict c
   | None -> (

@@ -111,7 +111,3 @@ val solve : ?config:config -> Term.t list -> result
 val check_valid : ?config:config -> ?hyps:Term.t list -> Term.t -> result
 (** [check_valid ~hyps goal] checks that [hyps] entail [goal] by refuting
     [hyps /\ not goal]; [Unsat] means valid (proved). *)
-
-val dump_debug : unit -> unit
-(** With [SMT_DEBUG] set, prints cumulative theory-phase timings to
-    stderr (development aid). *)

@@ -132,8 +132,7 @@ let parse_query kind params =
   let profile = Option.value ~default:"Verus" (str_field params "profile") in
   let* lint =
     match str_field params "lint" with
-    | None -> Ok (if kind = Profile then Lint_warn else Lint_off)
-    | Some "ignore" -> Ok Lint_off
+    | None | Some "ignore" -> Ok Lint_off
     | Some "warn" -> Ok Lint_warn
     | Some "strict" -> Ok Lint_strict
     | Some other -> Error (errf "RPC004" "params.lint must be ignore|warn|strict, got %S" other)

@@ -47,8 +47,9 @@ type query = {
   q_program : string;  (** bundled program name (required) *)
   q_profile : string;  (** framework profile name (default ["Verus"]) *)
   q_lint : lint_level;
-      (** for {!Verify}: when to run {!Vlint}; for {!Lint}: [Lint_strict]
-          means warnings also fail *)
+      (** when to run {!Vlint} (default [Lint_off]; a {!Profile} job
+          always lints at [Lint_warn]); for {!Lint}: [Lint_strict] means
+          warnings also fail *)
   q_certify : bool;  (** replay certificates through the Vcheck kernel *)
   q_analyze : bool;
       (** for {!Verify}: run the Vflow abstract-interpretation prescreen

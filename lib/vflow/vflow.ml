@@ -12,71 +12,3 @@ module Absint = Absint
 (* Bumping this invalidates prescreened cache entries (it salts Vcache
    fingerprints when Driver.Config.analyze is on). *)
 let version = "vflow/1"
-
-(* --------------------- bench-document schema ----------------------- *)
-
-module J = Vbase.Json
-
-let bench_schema = "verus-analyze-bench/1"
-
-(* BENCH_analyze.json: the prescreen ablation table.  Self-validated by
-   the bench binary before it writes the file. *)
-let validate_analyze_bench (j : J.t) =
-  let ( let* ) = Result.bind in
-  let str o k = match J.member k o with Some (J.String s) -> Some s | _ -> None in
-  let num o k = match J.member k o with Some v -> J.to_float v | None -> None in
-  let int_ o k = match J.member k o with Some (J.Int n) -> Some n | _ -> None in
-  let bool_ o k = match J.member k o with Some (J.Bool b) -> Some b | _ -> None in
-  let need what o k f =
-    match f o k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s: missing or mistyped %S" what k)
-  in
-  let* () =
-    match str j "schema" with
-    | Some s when s = bench_schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "schema %S (expected %s)" s bench_schema)
-    | None -> Error "missing schema tag"
-  in
-  let* rows =
-    match J.member "rows" j with
-    | Some (J.List (_ :: _ as rows)) -> Ok rows
-    | _ -> Error "rows: missing or empty"
-  in
-  let* () =
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* _ = need "rows[]" row "profile" str in
-        let* _ = need "rows[]" row "program" str in
-        let* vcs = need "rows[]" row "vcs" int_ in
-        let* disch = need "rows[]" row "discharged" int_ in
-        let* () =
-          if disch < 0 || disch > vcs then Error "rows[]: discharged out of [0, vcs]"
-          else Ok ()
-        in
-        let* _ = need "rows[]" row "base_s" num in
-        let* _ = need "rows[]" row "analyze_s" num in
-        let* _ = need "rows[]" row "base_bytes" int_ in
-        let* _ = need "rows[]" row "analyze_bytes" int_ in
-        let* ok = need "rows[]" row "verified_equal" bool_ in
-        if ok then Ok () else Error "rows[]: verified_equal is false")
-      (Ok ()) rows
-  in
-  let* totals =
-    match J.member "totals" j with
-    | Some o -> Ok o
-    | None -> Error "totals: missing"
-  in
-  let* total = need "totals" totals "total_vcs" int_ in
-  let* disch = need "totals" totals "total_discharged" int_ in
-  let* rate = need "totals" totals "discharge_rate" num in
-  let* () =
-    if rate < 0.0 || rate > 1.0 then Error "discharge_rate out of [0,1]" else Ok ()
-  in
-  let* () =
-    if disch < 0 || disch > total then Error "total_discharged out of [0, total_vcs]"
-    else Ok ()
-  in
-  if disch = 0 then Error "total_discharged is zero (prescreen discharged nothing)"
-  else Ok ()

@@ -19,10 +19,3 @@ val version : string
 (** Analysis version string ("vflow/1"); salts Vcache fingerprints when
     prescreening is enabled, so prescreened and plain verdicts never
     alias. *)
-
-val bench_schema : string
-(** Schema tag of BENCH_analyze.json ("verus-analyze-bench/1"). *)
-
-val validate_analyze_bench : Vbase.Json.t -> (unit, string) result
-(** Structural validation of the prescreen-ablation bench document;
-    rejects a zero total discharge count. *)

@@ -171,90 +171,3 @@ module Ladder = struct
     else
       Ok (make ~name:(Printf.sprintf "%s@%d" l.l_name i) [ l.l_rungs.(i) ])
 end
-
-(* --------------------- bench-document schema ----------------------- *)
-
-module J = Vbase.Json
-
-let bench_schema = "verus-ladder-bench/1"
-
-(* BENCH_ladder.json: the escalation-ladder ablation.  Each row runs the
-   same program x profile three ways — monolithic (ladder-free), cold
-   escalate ladder (fills a cache), and warm profile-guided (jumps each
-   obligation straight to its recorded winning rung).  The validator
-   pins the soundness bits (all three digests equal, warm runs waste
-   zero lower-rung attempts) and the point of the exercise (at least
-   one row where the warm run beats the monolithic one). *)
-let validate_ladder_bench (j : J.t) =
-  let ( let* ) = Result.bind in
-  let str o k = match J.member k o with Some (J.String s) -> Some s | _ -> None in
-  let num o k = match J.member k o with Some v -> J.to_float v | None -> None in
-  let int_ o k = match J.member k o with Some (J.Int n) -> Some n | _ -> None in
-  let bool_ o k = match J.member k o with Some (J.Bool b) -> Some b | _ -> None in
-  let need what o k f =
-    match f o k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s: missing or mistyped %S" what k)
-  in
-  let* () =
-    match str j "schema" with
-    | Some s when s = bench_schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "schema %S (expected %s)" s bench_schema)
-    | None -> Error "missing schema tag"
-  in
-  let* _ = need "doc" j "ladder" str in
-  let* rows =
-    match J.member "rows" j with
-    | Some (J.List (_ :: _ as rows)) -> Ok rows
-    | _ -> Error "rows: missing or empty"
-  in
-  let* improved =
-    List.fold_left
-      (fun acc row ->
-        let* improved = acc in
-        let* _ = need "rows[]" row "program" str in
-        let* _ = need "rows[]" row "profile" str in
-        let* mono_s = need "rows[]" row "monolithic_s" num in
-        let* _ = need "rows[]" row "ladder_s" num in
-        let* warm_s = need "rows[]" row "warm_s" num in
-        let* _ = need "rows[]" row "escalations" int_ in
-        let* _ = need "rows[]" row "hint_starts" int_ in
-        let* wasted = need "rows[]" row "warm_wasted_attempts" int_ in
-        let* () =
-          if wasted = 0 then Ok ()
-          else Error (Printf.sprintf "rows[]: warm run wasted %d lower-rung attempts" wasted)
-        in
-        let* verdicts = need "rows[]" row "verdicts_equal" bool_ in
-        let* wins =
-          match J.member "wins_per_rung" row with
-          | Some (J.List (_ :: _ as ws))
-            when List.for_all (function J.Int n -> n >= 0 | _ -> false) ws ->
-            Ok ws
-          | _ -> Error "rows[]: wins_per_rung missing or mistyped"
-        in
-        let* () =
-          if List.exists (function J.Int n -> n > 0 | _ -> false) wins then Ok ()
-          else Error "rows[]: no obligation won at any rung"
-        in
-        if verdicts then Ok (improved || warm_s < mono_s)
-        else Error "rows[]: verdicts_equal is false")
-      (Ok false) rows
-  in
-  let* () =
-    if improved then Ok ()
-    else Error "no row's warm profile-guided run beat the monolithic one"
-  in
-  let* warm =
-    match J.member "warm" j with
-    | Some (J.Obj _ as w) -> Ok w
-    | _ -> Error "missing warm object"
-  in
-  let* _ = need "warm" warm "cache_hits" int_ in
-  let* _ = need "warm" warm "hint_starts" int_ in
-  let* wasted = need "warm" warm "wasted_lower_rung_attempts" int_ in
-  let* () =
-    if wasted = 0 then Ok ()
-    else Error (Printf.sprintf "warm run wasted %d lower-rung attempts" wasted)
-  in
-  let* ok = need "warm" warm "digest_equal_cold" bool_ in
-  if ok then Ok () else Error "warm.digest_equal_cold is false"

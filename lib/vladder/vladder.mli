@@ -137,14 +137,3 @@ module Ladder : sig
   (** [pin l n] — the single-rung ladder holding only rung [n] of [l]
       (the CLI's [--rung n]); [Error] when [n] is out of bounds. *)
 end
-
-val bench_schema : string
-(** ["verus-ladder-bench/1"], the schema tag of [BENCH_ladder.json]. *)
-
-val validate_ladder_bench : Vbase.Json.t -> (unit, string) result
-(** Structural validation of the ladder ablation document the bench
-    harness emits; the harness self-validates before writing.  Beyond
-    shape, it pins the claims: every row's three arms (monolithic, cold
-    ladder, warm profile-guided) agree on the result digest, warm runs
-    waste zero lower-rung attempts, and at least one row's warm run is
-    faster than its monolithic one. *)

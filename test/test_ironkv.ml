@@ -430,34 +430,6 @@ let prop_crash_points_double_fault =
         let h' = Ironkv.Host.of_replay ~style:`Inplace ~id:0 ~hosts:1 ~durable:d (ops, routes) in
         canon h' = committed)
 
-let test_kv_bench_schema () =
-  (* Producer and checker share one implementation: a real (tiny) run,
-     rendered through kv_bench_row/doc, must validate — and near-miss
-     documents must not. *)
-  let r = W.run ~hosts:2 ~clients:2 ~keys:200 ~payload:16 ~ops:60 ~style:`Inplace () in
-  let doc = W.kv_bench_doc [ W.kv_bench_row ~name:"smoke" ~acked_write_loss:0 r ] in
-  (match W.validate_kv_bench doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("emitted doc rejected: " ^ e));
-  (* Round-trip through the serializer too. *)
-  (match Vbase.Json.of_string (Vbase.Json.to_string doc) with
-  | Ok doc' -> (
-    match W.validate_kv_bench doc' with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail ("round-tripped doc rejected: " ^ e))
-  | Error e -> Alcotest.fail ("round-trip parse failed: " ^ e));
-  let reject name j =
-    match W.validate_kv_bench j with
-    | Ok () -> Alcotest.fail (name ^ ": bogus doc accepted")
-    | Error _ -> ()
-  in
-  reject "wrong schema"
-    (Vbase.Json.Obj
-       [ ("schema", Vbase.Json.String "nope/9"); ("rows", Vbase.Json.List []) ]);
-  reject "empty rows" (W.kv_bench_doc []);
-  reject "missing field"
-    (W.kv_bench_doc [ Vbase.Json.Obj [ ("name", Vbase.Json.String "x") ] ])
-
 (* ------------------------------------------------------------------ *)
 (* EPR proof of the delegation map                                     *)
 (* ------------------------------------------------------------------ *)
@@ -516,7 +488,6 @@ let () =
           Alcotest.test_case "durable crosscheck" `Quick test_durable_crosscheck;
           Alcotest.test_case "crash+partition storms" `Quick test_storm_crosscheck;
           Alcotest.test_case "double fault" `Quick test_storm_double_fault;
-          Alcotest.test_case "bench schema" `Quick test_kv_bench_schema;
         ] );
       qsuite "durability-props" [ prop_crash_points; prop_crash_points_double_fault ];
       ( "epr-proof",

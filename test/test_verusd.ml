@@ -338,8 +338,7 @@ let verify_query ?(stream = true) program =
 
 (* The headline equivalence: one program verified three ways — inline
    jobs=1, on an external scheduler pool, and over a live daemon
-   conversation — produces byte-identical result digests, and the
-   daemon's done payload agrees with the local exit-code policy. *)
+   conversation — produces byte-identical result digests. *)
 let test_digests_agree () =
   let prog = Bench_programs.singly_linked in
   let cfg certify = Driver.Config.(default |> with_certify certify) in
@@ -375,10 +374,70 @@ let test_digests_agree () =
             let d = done_exn (call_exn c ~on_event (verify_query "singly_linked")) in
             Alcotest.(check string) "daemon digest = jobs=1 digest" local_digest
               (jstr d "digest");
-            Alcotest.(check int) "exit_code mirrors local policy"
-              (Vservice.result_exit_code local) (jint d "exit_code");
+            Alcotest.(check int) "exit_code 0 for a verified run" 0 (jint d "exit_code");
             Alcotest.(check int) "one vc event per obligation" (jint d "vcs") !vcs;
             Alcotest.(check int) "one fn event per function" (jint d "fns") !fns))
+
+(* One job, two doors: for each query, the done payload of a local
+   Vservice.run_job equals the daemon's key by key, wall-clock fields
+   aside, and a profile job's report validates.  Profile jobs lint at
+   warn. *)
+let test_local_equals_daemon () =
+  let rec scrub = function
+    | J.Obj kvs ->
+      J.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "time_s" || k = "phase" then None else Some (k, scrub v))
+           kvs)
+    | J.List l -> J.List (List.map scrub l)
+    | j -> j
+  in
+  let ok what = function Ok x -> x | Error e -> Alcotest.fail (what ^ ": " ^ e) in
+  let jobs =
+    [
+      ("verify", Rpc.query Rpc.Verify "singly_linked");
+      ("verify certify", Rpc.query ~certify:true Rpc.Verify "singly_linked");
+      ("verify analyze", Rpc.query ~analyze:true Rpc.Verify "const_cond");
+      ("verify ladder escalate", Rpc.query ~ladder:"escalate" Rpc.Verify "break_pop");
+      ("profile", Rpc.query Rpc.Profile "singly_linked");
+      ("lint", Rpc.query Rpc.Lint "singly_linked");
+    ]
+  in
+  with_daemon ~domains:2 (fun socket_path ->
+      match Verusd.Client.connect ~socket_path with
+      | Error e -> Alcotest.fail e
+      | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Verusd.Client.close c)
+          (fun () ->
+            List.iter
+              (fun (what, (q : Rpc.query)) ->
+                let job =
+                  ok what
+                    (Vservice.run_job ~pool:Driver.Config.Inline ~cache_dir:None q
+                       (ok what (Vservice.find_profile q.Rpc.q_profile))
+                       (ok what (Vservice.find_program q.Rpc.q_program)))
+                in
+                let local = job.Vservice.done_ in
+                if q.Rpc.q_kind = Rpc.Profile then
+                  Alcotest.(check bool) (what ^ ": lints at warn") true
+                    (job.Vservice.config.Driver.Config.lint = Driver.Lint_warn);
+                let remote = done_exn (call_exn c (Rpc.request ~id:3 (Rpc.M_job q))) in
+                let keys = function J.Obj kvs -> List.map fst kvs | _ -> [] in
+                Alcotest.(check (list string)) (what ^ ": keys") (keys local) (keys remote);
+                List.iter
+                  (fun k ->
+                    let v j = J.to_string (Option.get (J.member k (scrub j))) in
+                    Alcotest.(check string) (what ^ ": " ^ k) (v local) (v remote))
+                  (keys (scrub local));
+                match J.member "report" remote with
+                | Some report ->
+                  Alcotest.(check (result unit string))
+                    (what ^ ": daemon report validates") (Ok ())
+                    (Profile_report.validate report)
+                | None when q.Rpc.q_kind = Rpc.Profile -> Alcotest.fail "profile job without report"
+                | None -> ())
+              jobs))
 
 (* Two clients sharing one warm daemon: the first fills the shared
    cache, the second hits in it (>= 90%) and still digests equally. *)
@@ -505,6 +564,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "digests agree" `Quick test_digests_agree;
+          Alcotest.test_case "local equals daemon" `Quick test_local_equals_daemon;
           Alcotest.test_case "shared cache across clients" `Quick
             test_shared_cache_across_clients;
           Alcotest.test_case "protocol negatives" `Quick test_daemon_negatives;

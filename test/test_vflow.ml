@@ -724,58 +724,6 @@ let test_lint_schema_negatives () =
   check_rejects "a bad severity" (lint_doc ~sev:"fatal" ());
   check_rejects "mismatched counts" (lint_doc ~info:2 ())
 
-let bench_doc ?(schema = Vflow.bench_schema) ?(discharged = 1) ?(total_discharged = 1)
-    ?(rate = 0.5) ?(verified = true) ?(rows = true) ?(totals = true) () =
-  let row =
-    J.Obj
-      [
-        ("profile", J.String "Verus");
-        ("program", J.String "const_cond");
-        ("vcs", J.Int 2);
-        ("discharged", J.Int discharged);
-        ("base_s", J.Float 1.0);
-        ("analyze_s", J.Float 0.5);
-        ("base_bytes", J.Int 10);
-        ("analyze_bytes", J.Int 5);
-        ("verified_equal", J.Bool verified);
-      ]
-  in
-  J.Obj
-    ([
-       ("schema", J.String schema);
-       ("analysis", J.String Vflow.version);
-       ("rows", J.List (if rows then [ row ] else []));
-     ]
-    @
-    if totals then
-      [
-        ( "totals",
-          J.Obj
-            [
-              ("total_vcs", J.Int 2);
-              ("total_discharged", J.Int total_discharged);
-              ("discharge_rate", J.Float rate);
-            ] );
-      ]
-    else [])
-
-let check_bench_rejects what doc =
-  match Vflow.validate_analyze_bench doc with
-  | Ok () -> Alcotest.failf "bench validator accepted %s" what
-  | Error _ -> ()
-
-let test_bench_schema () =
-  (match Vflow.validate_analyze_bench (bench_doc ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "minimal bench doc rejected: %s" e);
-  check_bench_rejects "a wrong schema tag" (bench_doc ~schema:"verus-analyze-bench/0" ());
-  check_bench_rejects "a zero discharge total" (bench_doc ~total_discharged:0 ());
-  check_bench_rejects "an out-of-range rate" (bench_doc ~rate:1.5 ());
-  check_bench_rejects "a verification mismatch" (bench_doc ~verified:false ());
-  check_bench_rejects "empty rows" (bench_doc ~rows:false ());
-  check_bench_rejects "missing totals" (bench_doc ~totals:false ());
-  check_bench_rejects "row discharge above vcs" (bench_doc ~discharged:3 ())
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -821,6 +769,5 @@ let () =
         [
           Alcotest.test_case "lint report round-trip" `Quick test_lint_report_schema;
           Alcotest.test_case "lint report negatives" `Quick test_lint_schema_negatives;
-          Alcotest.test_case "analyze bench schema" `Quick test_bench_schema;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* The escalation ladder: the Rung/Ladder API, the one resolver shared
-   by CLI and daemon, escalation determinism across scheduling modes
+(* The escalation ladder: the Rung/Ladder API, the ladder a job's query
+   resolves to, escalation determinism across scheduling modes
    (inline / transient domains / borrowed pool / live daemon), and the
    warm winning-rung jump. *)
 
@@ -73,11 +73,19 @@ let test_ladder_api () =
   | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* resolve_ladder: the shared CLI/daemon resolver                      *)
+(* resolve_ladder: the ladder a job's query resolves to               *)
 (* ------------------------------------------------------------------ *)
 
+(* Resolved through Vservice.run_job, the one job path; a lint job runs
+   no solver, so only the mapping is exercised. *)
 let test_resolve_ladder () =
-  let resolve ?ladder ?rung () = Vservice.resolve_ladder ~ladder ~rung in
+  let resolve ?ladder ?rung () =
+    Result.map
+      (fun (job : Vservice.job) -> job.Vservice.config.Driver.Config.ladder)
+      (Vservice.run_job ~pool:Driver.Config.Inline ~cache_dir:None
+         (Verusd.Rpc.query ?ladder ?rung Verusd.Rpc.Lint "singly_linked")
+         Profiles.verus Bench_programs.singly_linked)
+  in
   (match resolve () with
   | Ok None -> ()
   | _ -> Alcotest.fail "all-None must resolve to the implicit identity ladder");
