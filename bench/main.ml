@@ -342,10 +342,10 @@ let fig10_faults () =
   Printf.printf "  %-14s %10s %14s %12s\n" "drop+dup %" "kop/s" "retransmits" "net msgs";
   List.iter
     (fun pct ->
-      let r =
-        Ironkv.Workload.run ~style:`Inplace ~ops ~payload:128 ~get_ratio:0.5 ~drop_pct:pct
-          ~net_dup_pct:pct ~fault_seed:(100 + pct) ()
-      in
+      let faults = Vbase.Faultplan.create ~seed:(100 + pct) () in
+      Vbase.Faultplan.set_prob faults "net.drop" ~pct;
+      Vbase.Faultplan.set_prob faults "net.dup" ~pct;
+      let r = Ironkv.Workload.run ~style:`Inplace ~ops ~payload:128 ~get_ratio:0.5 ~faults () in
       let sent =
         match List.assoc_opt "sent" r.Ironkv.Workload.net_stats with Some n -> n | None -> 0
       in
@@ -368,6 +368,13 @@ let kv_bench () =
   let ops = if !quick then 2_000 else 12_000 in
   let zkeys = if !quick then 100_000 else 1_000_000 in
   let dur group = { W.du_group = group; du_mem_bytes = 1 lsl 24 } in
+  let storm ~seed ~crash =
+    let plan = Vbase.Faultplan.create ~seed () in
+    List.iter
+      (fun (site, pct) -> Vbase.Faultplan.set_prob plan site ~pct)
+      [ (W.crash_site, crash); (W.partition_site, 1); ("pmem.torn", 1) ];
+    plan
+  in
   Printf.printf "  %-24s %9s %9s %9s %8s %6s %9s\n" "configuration" "kop/s" "p50 ms" "p99 ms"
     "crashes" "recov" "replayed";
   let rows = ref [] in
@@ -387,14 +394,14 @@ let kv_bench () =
      crosscheck under the same fault classes: its closing readback sweep
      re-reads every acknowledged write after the storm. *)
   let report, verdict =
-    W.crosscheck_report
+    W.crosscheck
       ~ops:(if !quick then 300 else 800)
-      ~seed:29 ~fault_seed:78 ~durability:(dur 4) ~crash_pct:2 ~partition_pct:1 ~torn_pct:1 ()
+      ~seed:29 ~faults:(storm ~seed:78 ~crash:2) ~durability:(dur 4) ()
   in
   let loss = match verdict with Ok () -> 0 | Error _ -> 1 in
   add "storm crash+part+torn"
-    (W.run ~style:`Inplace ~ops:(ops / 2) ~durability:(dur 4) ~crash_pct:1 ~partition_pct:1
-       ~torn_pct:1 ~fault_seed:77 ())
+    (W.run ~style:`Inplace ~ops:(ops / 2) ~durability:(dur 4)
+       ~faults:(storm ~seed:77 ~crash:1) ())
     loss;
   (match verdict with
   | Ok () ->

@@ -64,9 +64,10 @@ let run ?(jobs = 1) ?cache_dir (q : Rpc.query) profile prog =
 (* ------------------------------ faults ------------------------------- *)
 
 let faults () =
-  (match
-     Ironkv.Workload.crosscheck ~ops:800 ~seed:7 ~drop_pct:5 ~net_dup_pct:5 ~fault_seed:7 ()
-   with
+  let net_plan = Vbase.Faultplan.create ~seed:7 () in
+  Vbase.Faultplan.set_prob net_plan "net.drop" ~pct:5;
+  Vbase.Faultplan.set_prob net_plan "net.dup" ~pct:5;
+  (match snd (Ironkv.Workload.crosscheck ~ops:800 ~seed:7 ~faults:net_plan ()) with
   | Ok () -> pass "ironkv crosscheck @ 5%% drop+dup ok"
   | Error e -> fail "ironkv crosscheck diverged: %s" e);
   let module P = Plog.Pmem in
@@ -102,13 +103,22 @@ let faults () =
 let kv () =
   let module W = Ironkv.Workload in
   let plan = Vbase.Faultplan.create ~seed:19 () in
-  List.iter (fun site -> Vbase.Faultplan.set_prob plan site ~pct:5)
-    [ "net.drop"; "net.dup"; "net.reorder"; "net.delay" ];
-  Vbase.Faultplan.set_prob plan Ironkv.Durable.crash_during_recovery_site ~pct:10;
+  List.iter
+    (fun (site, pct) -> Vbase.Faultplan.set_prob plan site ~pct)
+    [
+      ("net.drop", 5);
+      ("net.dup", 5);
+      ("net.reorder", 5);
+      ("net.delay", 5);
+      (Ironkv.Durable.crash_during_recovery_site, 10);
+      (W.crash_site, 2);
+      (W.partition_site, 1);
+      ("pmem.torn", 1);
+    ];
   let report, verdict =
-    W.crosscheck_report ~ops:500 ~seed:23 ~dup_pct:10 ~faults:plan
+    W.crosscheck ~ops:500 ~seed:23 ~dup_pct:10 ~faults:plan
       ~durability:{ W.du_group = 4; du_mem_bytes = 1 lsl 22 }
-      ~crash_pct:2 ~partition_pct:1 ~torn_pct:1 ()
+      ()
   in
   (match verdict with Ok () -> () | Error e -> fail "storm crosscheck diverged: %s" e);
   if report.W.sr_crashes + report.W.sr_torn = 0 then fail "storm never crashed a host";

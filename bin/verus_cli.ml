@@ -355,6 +355,14 @@ let finish q j =
   print_done q j;
   exit (exit_code j)
 
+(* What the done payload's cache counters do not say: the store the run
+   loaded was corrupt. *)
+let print_corrupt_store (r : Verus.Driver.program_result) =
+  match r.Verus.Driver.pr_cache with
+  | Some cs when cs.Verus.Vcache.corrupt_load ->
+    print_endline "cache: store was corrupt at load, rebuilt"
+  | _ -> ()
+
 (* --------------------------- verify ------------------------------- *)
 
 let cmd_verify args =
@@ -396,10 +404,7 @@ let cmd_verify args =
   | Some (where, what, code) when not r.Verus.Driver.pr_ok ->
     Printf.printf "first failure: [%s] %s: %s\n" code where what
   | _ -> ());
-  (match r.Verus.Driver.pr_cache with
-  | Some cs when cs.Verus.Vcache.corrupt_load ->
-    print_endline "cache: store was corrupt at load, rebuilt"
-  | _ -> ());
+  print_corrupt_store r;
   (if q.Rpc.q_analyze then
      let total =
        List.fold_left
@@ -487,6 +492,7 @@ let cmd_profile args =
       (fun e -> Printf.printf "front-end error: %s\n" e)
       r.Verus.Driver.pr_front_end_errors;
     print_string (Verus.Profile_report.render_text ~top:o.top ~prog_name:q.Rpc.q_program r);
+    print_corrupt_store r;
     print_done q j
   end;
   exit (exit_code j)

@@ -527,11 +527,13 @@ let attempt_vc env (pd : pending) : step =
         in
         smt_prof := Some r.Smt.Solver.profile;
         smt_stats := Some r.Smt.Solver.stats;
+        let ph = r.Smt.Solver.profile.Smt.Profile.phase in
         let d =
           Printf.sprintf "inst=%d confl=%d sat=%.2f theory=%.2f em=%.2f"
             r.Smt.Solver.stats.Smt.Solver.instances r.Smt.Solver.stats.Smt.Solver.conflicts
-            r.Smt.Solver.stats.Smt.Solver.t_sat r.Smt.Solver.stats.Smt.Solver.t_theory
-            r.Smt.Solver.stats.Smt.Solver.t_ematch
+            ph.Smt.Profile.ph_sat
+            (ph.Smt.Profile.ph_euf +. ph.Smt.Profile.ph_lia +. ph.Smt.Profile.ph_comb)
+            ph.Smt.Profile.ph_ematch
         in
         (r.Smt.Solver.answer, d, r.Smt.Solver.cert)
       end

@@ -72,16 +72,6 @@ let render_text ?(top = 10) ~prog_name (r : Driver.program_result) =
        (inst rounds %d, euf conflicts %d, lia conflicts %d, theory lemmas %d)\n"
       ph.P.ph_sat ph.P.ph_euf ph.P.ph_lia ph.P.ph_comb ph.P.ph_ematch smt.P.inst_rounds
       smt.P.euf_conflicts smt.P.lia_conflicts smt.P.theory_lemmas;
-    (match r.Driver.pr_cache with
-    | None -> ()
-    | Some cs ->
-      pf "cache: %d hit(s) | %d miss(es) | %d invalidation(s) | %d store(s)%s\n"
-        cs.Vcache.hits cs.Vcache.misses cs.Vcache.invalidations cs.Vcache.stores
-        (if cs.Vcache.corrupt_load then "   (store was corrupt at load; rebuilt)"
-         else if cs.Vcache.entries_dropped > 0 then
-           Printf.sprintf "   (%d malformed entr%s dropped at load)" cs.Vcache.entries_dropped
-             (if cs.Vcache.entries_dropped = 1 then "y" else "ies")
-         else ""));
     (* Quantifier hot-spots. *)
     pf "\ntop %d quantifiers by instantiation:\n" top;
     pf "  %4s %10s %10s %8s %7s  %s\n" "#" "instances" "matched" "dup" "rounds" "quantifier";

@@ -268,8 +268,8 @@ let answer_string = function
   | Smt.Solver.Unknown _ -> "unknown"
 
 (* Verdict events as obligations and functions complete.  [cached] is a
-   warm hit in the shared cache, whether or not the entry carried a
-   certificate digest. *)
+   warm hit in the shared cache, whatever its answer and whether or not
+   the entry carried a certificate digest. *)
 let stream_event = function
   | Driver.Vc_done (fn, vr) ->
     Rpc.E_vc
@@ -279,10 +279,7 @@ let stream_event = function
         answer = answer_string vr.Driver.vcr_answer;
         reason = (match vr.Driver.vcr_answer with Smt.Solver.Unknown m -> Some m | _ -> None);
         time_s = vr.Driver.vcr_time_s;
-        cached =
-          (match vr.Driver.vcr_cert with
-          | Driver.Cert_cached _ | Driver.Cert_uncertified_hit -> true
-          | _ -> false);
+        cached = vr.Driver.vcr_source = Driver.Src_cache;
         rung = vr.Driver.vcr_rung;
       }
   | Driver.Fn_done fnr ->
@@ -351,7 +348,7 @@ let handler t : Verusd.Server.handler =
 
 let serve ~socket_path ~domains ?cache_dir () =
   let eng = create ~domains ?cache_dir () in
-  match Verusd.Server.create (Verusd.Server.default_config ~socket_path) with
+  match Verusd.Server.create ~socket_path with
   | Error e ->
     shutdown eng;
     Error e

@@ -18,8 +18,6 @@ val programs : (string * (unit -> Vir.program)) list
 (** Bundled benchmark programs, name to thunk (programs are built on
     demand — some are generated parametrically). *)
 
-val program_names : string list
-
 val profile_names : string list
 
 val find_program : string -> (Vir.program, string) result

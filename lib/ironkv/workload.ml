@@ -5,8 +5,6 @@ type durability = {
   du_mem_bytes : int; (* per-host simulated PMEM device size *)
 }
 
-let default_durability = { du_group = 4; du_mem_bytes = 1 lsl 23 }
-
 type result = {
   ops_done : int;
   elapsed_s : float;
@@ -39,6 +37,10 @@ exception Client_timeout of string
 
 let crash_site = "host.crash"
 let partition_site = "net.partition"
+
+(* The sites a storm arms on the caller's plan; [setup] holds them at 0%
+   while the cluster forms. *)
+let storm_sites = [ crash_site; partition_site; "pmem.torn" ]
 
 (* --- cluster ----------------------------------------------------------- *)
 
@@ -166,9 +168,7 @@ let storm_tick cl =
 
 let end_storm cl =
   cl.c_storm <- false;
-  Vbase.Faultplan.set_prob cl.c_plan crash_site ~pct:0;
-  Vbase.Faultplan.set_prob cl.c_plan partition_site ~pct:0;
-  Vbase.Faultplan.set_prob cl.c_plan "pmem.torn" ~pct:0;
+  List.iter (fun site -> Vbase.Faultplan.set_prob cl.c_plan site ~pct:0) storm_sites;
   if cl.c_partition_left > 0 then begin
     Network.heal_partition cl.c_net;
     cl.c_partition_left <- 0
@@ -223,15 +223,13 @@ let request_reply ?(retransmit_counter = ref 0) cl ~client ~dst ~seq msg =
   in
   attempt 0 ~timeout:2
 
-let make_plan ~fault_seed ~drop_pct ~net_dup_pct ~reorder_pct ~delay_pct =
-  let plan = Vbase.Faultplan.create ~seed:fault_seed () in
-  Vbase.Faultplan.set_prob plan "net.drop" ~pct:drop_pct;
-  Vbase.Faultplan.set_prob plan "net.dup" ~pct:net_dup_pct;
-  Vbase.Faultplan.set_prob plan "net.reorder" ~pct:reorder_pct;
-  Vbase.Faultplan.set_prob plan "net.delay" ~pct:delay_pct;
-  plan
-
+(* Build the cluster over the caller's plan and shard the keyspace.  The
+   storm sites are held at 0% until the shards are delegated, then get
+   the caller's rates back: the storm strikes a formed cluster, and a
+   torn flush cannot hit a device's format record. *)
 let setup ?durability ~style ~hosts:nhosts ~clients:nclients ~keys ~faults () =
+  let armed = List.map (fun site -> (site, Vbase.Faultplan.prob faults site)) storm_sites in
+  List.iter (fun site -> Vbase.Faultplan.set_prob faults site ~pct:0) storm_sites;
   let net = Network.create ~endpoints:(nhosts + nclients) ~faults ~sequenced:true () in
   let mk_node id =
     match durability with
@@ -284,13 +282,9 @@ let setup ?durability ~style ~hosts:nhosts ~clients:nclients ~keys ~faults () =
     Host.delegate cl.c_nodes.(0).n_host net ~lo ~hi ~dest:h
   done;
   drain cl;
+  List.iter (fun (site, pct) -> Vbase.Faultplan.set_prob faults site ~pct) armed;
+  cl.c_storm <- List.assoc crash_site armed > 0 || List.assoc partition_site armed > 0;
   cl
-
-let arm_storm cl ~crash_pct ~partition_pct ~torn_pct =
-  Vbase.Faultplan.set_prob cl.c_plan crash_site ~pct:crash_pct;
-  Vbase.Faultplan.set_prob cl.c_plan partition_site ~pct:partition_pct;
-  Vbase.Faultplan.set_prob cl.c_plan "pmem.torn" ~pct:torn_pct;
-  cl.c_storm <- crash_pct > 0 || partition_pct > 0
 
 (* Key distributions.  Zipf ranks are scrambled by a fixed odd multiplier
    so the hot keys scatter across the key-order shards instead of all
@@ -314,13 +308,10 @@ let percentile sorted p =
   if n = 0 then 0.0 else sorted.(min (n - 1) (p * n / 100))
 
 let run ?(hosts = 3) ?(clients = 10) ?(keys = 10_000) ?(payload = 128) ?(ops = 20_000)
-    ?(get_ratio = 0.5) ?(seed = 42) ?(drop_pct = 0) ?(net_dup_pct = 0) ?(reorder_pct = 0)
-    ?(delay_pct = 0) ?(fault_seed = 1) ?durability ?(dist = `Uniform) ?(crash_pct = 0)
-    ?(partition_pct = 0) ?(torn_pct = 0) ~style () =
-  let plan = make_plan ~fault_seed ~drop_pct ~net_dup_pct ~reorder_pct ~delay_pct in
-  let cl = setup ?durability ~style ~hosts ~clients ~keys ~faults:plan () in
-  arm_storm cl ~crash_pct ~partition_pct ~torn_pct;
-  let rng = Vbase.Rng.create ~seed in
+    ?(get_ratio = 0.5) ?(faults = Vbase.Faultplan.create ()) ?durability ?(dist = `Uniform)
+    ~style () =
+  let cl = setup ?durability ~style ~hosts ~clients ~keys ~faults () in
+  let rng = Vbase.Rng.create ~seed:42 in
   let pick = key_picker rng ~keys dist in
   let payload_string = String.make payload 'x' in
   let seqs = Array.make clients 0 in
@@ -370,21 +361,12 @@ let run ?(hosts = 3) ?(clients = 10) ?(keys = 10_000) ?(payload = 128) ?(ops = 2
     commits = total_commits cl;
   }
 
-let crosscheck_report ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(drop_pct = 0)
-    ?(net_dup_pct = 0) ?(reorder_pct = 0) ?(delay_pct = 0) ?(redelegate = true)
-    ?(fault_seed = 1) ?faults ?durability ?(dist = `Uniform) ?(crash_pct = 0)
-    ?(partition_pct = 0) ?(torn_pct = 0) ?(readback = true) () =
+let crosscheck ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(faults = Vbase.Faultplan.create ())
+    ?durability () =
   let hosts = 3 and clients = 2 and keys = 500 in
-  let plan =
-    match faults with
-    | Some p -> p
-    | None -> make_plan ~fault_seed ~drop_pct ~net_dup_pct ~reorder_pct ~delay_pct
-  in
-  let cl = setup ?durability ~style:`Inplace ~hosts ~clients ~keys ~faults:plan () in
-  arm_storm cl ~crash_pct ~partition_pct ~torn_pct;
+  let cl = setup ?durability ~style:`Inplace ~hosts ~clients ~keys ~faults () in
   let reference : (int, string) Hashtbl.t = Hashtbl.create 256 in
   let rng = Vbase.Rng.create ~seed in
-  let pick = key_picker rng ~keys dist in
   let seqs = Array.make clients 0 in
   let retransmits = ref 0 in
   let error = ref None in
@@ -396,7 +378,7 @@ let crosscheck_report ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(drop_pct = 0)
          let c = Vbase.Rng.int rng clients in
          let client = hosts + c in
          seqs.(c) <- seqs.(c) + 1;
-         let key = pick () in
+         let key = Vbase.Rng.int rng keys in
          let is_get = Vbase.Rng.bool rng in
          let msg =
            if is_get then Message.Get { client; seq = seqs.(c); key }
@@ -423,7 +405,7 @@ let crosscheck_report ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(drop_pct = 0)
          let lo = Vbase.Rng.int rng keys in
          let span = 1 + Vbase.Rng.int rng 50 in
          let dest = Vbase.Rng.int rng hosts in
-         if redelegate && redelegate_roll = 0 then begin
+         if redelegate_roll = 0 then begin
            let owner = ref None in
            Array.iteri
              (fun i node -> if !owner = None && Host.owns node.n_host lo then owner := Some i)
@@ -455,7 +437,7 @@ let crosscheck_report ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(drop_pct = 0)
         so a divergence here is an acknowledged write lost to a crash —
         the invariant this whole harness exists to pin. *)
      end_storm cl;
-     if readback && !error = None then begin
+     if !error = None then begin
        let bindings = List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) reference []) in
        List.iter
          (fun (key, expected) ->
@@ -493,13 +475,6 @@ let crosscheck_report ?(ops = 2000) ?(seed = 7) ?(dup_pct = 0) ?(drop_pct = 0)
     }
   in
   (report, match !error with None -> Ok () | Some e -> Error e)
-
-let crosscheck ?ops ?seed ?dup_pct ?drop_pct ?net_dup_pct ?reorder_pct ?delay_pct ?redelegate
-    ?fault_seed ?faults ?durability ?dist ?crash_pct ?partition_pct ?torn_pct ?readback () =
-  snd
-    (crosscheck_report ?ops ?seed ?dup_pct ?drop_pct ?net_dup_pct ?reorder_pct ?delay_pct
-       ?redelegate ?fault_seed ?faults ?durability ?dist ?crash_pct ?partition_pct ?torn_pct
-       ?readback ())
 
 (* --- recovery probe ---------------------------------------------------- *)
 

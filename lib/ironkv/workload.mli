@@ -12,12 +12,11 @@
     re-delegation (the [fig10-faults] bench section and the fault-mix
     tests exercise every combination).
 
-    {b Storms} (PR 7): with [durability] set, each host runs over its own
-    simulated PMEM device ({!Durable}); the [crash_pct]/[partition_pct]/
-    [torn_pct] knobs arm per-poll-round fault sites (["host.crash"],
-    ["net.partition"], ["pmem.torn"]) that crash hosts mid-operation,
-    tear commit flushes, and partition victims for a drawn number of
-    rounds — all while the client workload keeps running.  Every crash is
+    {b Storms}: with [durability] set, each host runs over its own
+    simulated PMEM device ({!Durable}); the storm sites of the caller's
+    fault plan (see {!section-faults}) crash hosts mid-operation, tear
+    commit flushes, and partition victims for a drawn number of rounds —
+    all while the client workload keeps running.  Every crash is
     immediately followed by recovery (replay of the committed log
     prefix), with recovery time, replayed records and epoch monotonicity
     accounted.  The crosscheck's closing {e readback sweep} then re-reads
@@ -33,9 +32,6 @@ type durability = {
   du_group : int;  (** group-commit threshold (records per flush) *)
   du_mem_bytes : int;  (** per-host simulated PMEM device size *)
 }
-
-val default_durability : durability
-(** group 4, 8 MiB devices. *)
 
 type result = {
   ops_done : int;
@@ -78,6 +74,30 @@ val partition_site : string
 (** ["net.partition"] — on fire, a drawn host is partitioned from the
     rest of the cluster for [2 + draw 30] poll rounds. *)
 
+(** {2:faults Faults}
+
+    Every adversarial behaviour is a site of the caller's
+    {!Vbase.Faultplan.t}, passed as [faults] (default: a fresh plan with
+    nothing armed):
+
+    - network: ["net.drop"], ["net.dup"], ["net.reorder"], ["net.delay"]
+      (see {!Network});
+    - storm: {!crash_site}, {!partition_site} and ["pmem.torn"] (a commit
+      flush tears and its host loses power);
+    - recovery: {!Durable.crash_during_recovery_site}.
+
+    The storm runs while {!crash_site} or {!partition_site} is armed
+    ({!Vbase.Faultplan.prob} above 0); crashes and torn flushes need
+    [durability].  The storm sites are held at 0% while the cluster is
+    set up (devices formatted, keyspace delegated) and get the caller's
+    rates back before the first client request; the network sites are
+    live from the start.  When the workload ends, the storm sites are
+    disarmed on the plan and any partition heals.
+
+    The whole run is deterministic: same seeds and same plan ⇒ same
+    messages, same injected faults ({!Vbase.Faultplan.trace}), same
+    result. *)
+
 val run :
   ?hosts:int ->
   ?clients:int ->
@@ -85,93 +105,44 @@ val run :
   ?payload:int ->
   ?ops:int ->
   ?get_ratio:float ->
-  ?seed:int ->
-  ?drop_pct:int ->
-  ?net_dup_pct:int ->
-  ?reorder_pct:int ->
-  ?delay_pct:int ->
-  ?fault_seed:int ->
+  ?faults:Vbase.Faultplan.t ->
   ?durability:durability ->
   ?dist:dist ->
-  ?crash_pct:int ->
-  ?partition_pct:int ->
-  ?torn_pct:int ->
   style:Host.style ->
   unit ->
   result
-(** Defaults: 3 hosts, 10 clients, 10_000 keys, 128-byte payloads, 20_000
-    operations, 50% gets, no faults, volatile hosts, uniform keys.  The
-    keyspace is pre-sharded evenly across hosts by delegation.  The
-    [*_pct] knobs arm the corresponding network fault sites on a fresh
-    fault plan seeded with [fault_seed] (see {!Network}); [durability]
-    makes hosts durable (group commit over simulated PMEM); [crash_pct]/
-    [partition_pct]/[torn_pct] arm the storm sites (see above). *)
+(** Closed-loop throughput run.  Defaults: 3 hosts, 10 clients, 10_000
+    keys, 128-byte payloads, 20_000 operations, 50% gets, no faults,
+    volatile hosts, uniform keys.  The keyspace is pre-sharded evenly
+    across hosts by delegation; [durability] makes hosts durable (group
+    commit over simulated PMEM). *)
 
 val crosscheck :
   ?ops:int ->
   ?seed:int ->
   ?dup_pct:int ->
-  ?drop_pct:int ->
-  ?net_dup_pct:int ->
-  ?reorder_pct:int ->
-  ?delay_pct:int ->
-  ?redelegate:bool ->
-  ?fault_seed:int ->
   ?faults:Vbase.Faultplan.t ->
   ?durability:durability ->
-  ?dist:dist ->
-  ?crash_pct:int ->
-  ?partition_pct:int ->
-  ?torn_pct:int ->
-  ?readback:bool ->
   unit ->
-  (unit, string) Stdlib.result
-(** Differential test: runs the same randomized workload against the
-    cluster and against a flat reference map; [Error] describes the first
-    divergence.  Exercises forwarding, delegation and at-most-once
-    delivery under the armed fault mix:
+  storm_report * (unit, string) Stdlib.result
+(** Differential test: runs a randomized workload (drawn from [seed])
+    against the cluster and against a flat reference map; [Error]
+    describes the first divergence.  Exercises forwarding, delegation and
+    at-most-once delivery under the armed faults, plus two client-side
+    behaviours drawn from the workload's own seed:
 
     - [dup_pct] resends that percentage of client requests (unchanged
       sequence number — a flaky client channel);
-    - [drop_pct]/[net_dup_pct]/[reorder_pct]/[delay_pct] arm the network
-      fault sites (["net.drop"], ["net.dup"], ...) on a plan seeded with
-      [fault_seed] — or pass an externally configured plan via [faults]
-      (e.g. to inspect its {!Vbase.Faultplan.trace} afterwards);
-    - [redelegate] (default on) re-delegates a random range from its
-      current owner on ~1% of operations, {e concurrently} with in-flight
-      and duplicated requests: the migrating reply cache plus sequenced
-      inter-host channels must keep execution exactly once;
-    - [durability] + [crash_pct]/[partition_pct]/[torn_pct] run the whole
-      thing as a crash+partition storm over durable hosts, and [readback]
-      (default on) closes with a sweep re-reading {e every} acknowledged
-      write after the storm ends — [Error "... acknowledged write lost"]
-      if recovery dropped one.
+    - on ~1% of operations a random range is re-delegated away from its
+      current owner, {e concurrently} with in-flight and duplicated
+      requests: the migrating reply cache plus sequenced inter-host
+      channels must keep execution exactly once.
 
-    The whole run is deterministic: same [seed]/[fault_seed] ⇒ same
-    messages, same injected faults, same verdict. *)
-
-val crosscheck_report :
-  ?ops:int ->
-  ?seed:int ->
-  ?dup_pct:int ->
-  ?drop_pct:int ->
-  ?net_dup_pct:int ->
-  ?reorder_pct:int ->
-  ?delay_pct:int ->
-  ?redelegate:bool ->
-  ?fault_seed:int ->
-  ?faults:Vbase.Faultplan.t ->
-  ?durability:durability ->
-  ?dist:dist ->
-  ?crash_pct:int ->
-  ?partition_pct:int ->
-  ?torn_pct:int ->
-  ?readback:bool ->
-  unit ->
-  storm_report * (unit, string) Stdlib.result
-(** {!crosscheck} plus the storm accounting (crash/torn/partition/
-    recovery counts, replayed records, readback size) — what the storm
-    tests assert on and [smoke.exe kv] prints. *)
+    After the storm ends, a readback sweep re-reads {e every}
+    acknowledged write: [Error "... acknowledged write lost"] if
+    recovery dropped one.  The report carries the storm accounting
+    (crash/torn/partition/recovery counts, replayed records, readback
+    size). *)
 
 val recovery_probe : ?records:int -> ?payload:int -> ?group:int -> unit -> float * int
 (** Isolated recovery-time measurement: append [records] Set records

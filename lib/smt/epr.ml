@@ -244,9 +244,6 @@ let solve ?config ?(max_universe = 4000) ts =
           decisions = 0;
           query_bytes = 0;
           time_s = 0.0;
-          t_sat = 0.0;
-          t_theory = 0.0;
-          t_ematch = 0.0;
         };
       model = [];
       profile = Profile.empty;

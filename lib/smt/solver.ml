@@ -58,9 +58,6 @@ type stats = {
   decisions : int;
   query_bytes : int;
   time_s : float;
-  t_sat : float;
-  t_theory : float;
-  t_ematch : float;
 }
 
 type result = {
@@ -93,11 +90,10 @@ type state = {
   mutable const_true_lit : int option;
   mutable has_quants : bool;
   mutable t_sat : float;
-  mutable t_theory : float;
   mutable t_ematch : float;
-  (* Fine-grained phase accounting inside the theory final check (t_theory
-     = t_euf + t_lia + t_comb up to loop overhead), plus per-theory
-     conflict and lemma counters.  Always on: a handful of gettimeofday
+  (* Fine-grained phase accounting inside the theory final check
+     (t_euf + t_lia + t_comb), plus per-theory conflict and lemma
+     counters.  Always on: a handful of gettimeofday
      calls per final check is noise next to the check itself, and it is
      what makes every result carry a Profile without a config switch. *)
   mutable t_euf : float;
@@ -145,7 +141,6 @@ let create_state cfg =
     const_true_lit = None;
     has_quants = false;
     t_sat = 0.0;
-    t_theory = 0.0;
     t_ematch = 0.0;
     t_euf = 0.0;
     t_lia = 0.0;
@@ -865,9 +860,6 @@ let solve ?(config = default_config) assertions =
           decisions = Sat.stats_decisions st.sat;
           query_bytes = st.query_bytes;
           time_s = Unix.gettimeofday () -. t0;
-          t_sat = st.t_sat;
-          t_theory = st.t_theory;
-          t_ematch = st.t_ematch;
         };
       model;
       profile =
@@ -904,10 +896,7 @@ let solve ?(config = default_config) assertions =
       match sat_result with
       | Sat.Unsat -> answer := Some Unsat
       | Sat.Sat -> (
-        let tt = Unix.gettimeofday () in
-        let fc = final_check st in
-        st.t_theory <- st.t_theory +. (Unix.gettimeofday () -. tt);
-        match fc with
+        match final_check st with
         | R_continue -> ()
         | R_unknown reason -> raise (Give_up reason)
         | R_model_ok euf ->

@@ -72,9 +72,9 @@ type answer =
   | Unknown of string  (** reason: budget, quantifiers, ... *)
 
 (** Coarse per-solve totals (the paper's table columns).  For attribution —
-    {e which} quantifier produced the instances, how theory time splits
-    between congruence, arithmetic and combination — see the
-    {!type:result.profile} field. *)
+    {e which} quantifier produced the instances, and the time spent in
+    each phase (search, congruence, arithmetic, combination,
+    instantiation) — see the {!type:result.profile} field. *)
 type stats = {
   rounds : int;  (** CDCL(T) major rounds (SAT solve + final check) *)
   instances : int;  (** quantifier instantiations asserted *)
@@ -83,9 +83,6 @@ type stats = {
   decisions : int;  (** CDCL decisions *)
   query_bytes : int;  (** printed size of everything sent to the core *)
   time_s : float;  (** wall-clock for the whole solve *)
-  t_sat : float;  (** time in CDCL search *)
-  t_theory : float;  (** time in EUF/LIA final checks *)
-  t_ematch : float;  (** time in quantifier instantiation *)
 }
 
 (** Everything a solve returns. *)
@@ -95,10 +92,10 @@ type result = {
   model : (string * string) list;
       (** best-effort assignment of boolean constants when [Sat] *)
   profile : Profile.t;
-      (** per-quantifier instantiation attribution and fine-grained phase
-          times (EUF vs LIA vs combination inside [t_theory]); always
-          collected — the counters ride state the solver maintains
-          anyway *)
+      (** per-quantifier instantiation attribution and the solve's phase
+          times (CDCL search, EUF, LIA, combination, E-matching — each
+          timed once, only here); always collected — the counters ride
+          state the solver maintains anyway *)
   cert : Cert.t option;
       (** proof certificate, present iff [answer = Unsat] and the solve ran
           with [config.certify = true]; replayable by the independent

@@ -149,8 +149,6 @@ let create ~domains =
   t.handles <- List.init domains (fun i -> Domain.spawn (worker_loop t i));
   t
 
-let domain_count t = Array.length t.workers
-
 let enqueue t (j : job) =
   (match self_index t with
   | Some i -> locked t.workers.(i) (fun d -> d.front <- j :: d.front)
@@ -168,6 +166,7 @@ let enqueue t (j : job) =
 type batch = {
   b_outstanding : int Atomic.t;  (* submitted, not yet finished *)
   b_first_exn : exn option Atomic.t;
+  b_pooled : bool Atomic.t;  (* counted in a pool's [batches] yet? *)
   b_m : Mutex.t;
   b_c : Condition.t;
 }
@@ -176,6 +175,7 @@ let batch () =
   {
     b_outstanding = Atomic.make 0;
     b_first_exn = Atomic.make None;
+    b_pooled = Atomic.make false;
     b_m = Mutex.create ();
     b_c = Condition.create ();
   }
@@ -184,24 +184,23 @@ let batch () =
    and wake the awaiter on the last task.  The caller must have
    incremented [b_outstanding] before this runs (submit-before-run), so
    the count can only reach zero when the batch is truly drained. *)
-let run_member b ?on_result task () =
-  (try
-     task ();
-     match on_result with Some cb -> cb () | None -> ()
-   with e -> ignore (Atomic.compare_and_set b.b_first_exn None (Some e)));
+let run_member b task () =
+  (try task () with e -> ignore (Atomic.compare_and_set b.b_first_exn None (Some e)));
   if Atomic.fetch_and_add b.b_outstanding (-1) = 1 then begin
     Mutex.lock b.b_m;
     Condition.broadcast b.b_c;
     Mutex.unlock b.b_m
   end
 
-let submit t b ?on_result task =
+let submit t b task =
+  if not (Atomic.get b.b_pooled || Atomic.exchange b.b_pooled true) then
+    Atomic.incr t.batches;
   Atomic.incr b.b_outstanding;
-  enqueue t (run_member b ?on_result task)
+  enqueue t (run_member b task)
 
-let submit_now b ?on_result task =
+let submit_now b task =
   Atomic.incr b.b_outstanding;
-  run_member b ?on_result task ()
+  run_member b task ()
 
 let await b =
   Mutex.lock b.b_m;
@@ -210,42 +209,6 @@ let await b =
   done;
   Mutex.unlock b.b_m;
   match Atomic.get b.b_first_exn with Some e -> raise e | None -> ()
-
-(* --- fixed batches ---------------------------------------------------- *)
-
-(* Wrap fixed tasks so each records its index-aligned result before the
-   shared batch bookkeeping counts it done. *)
-let wrap_fixed ?on_result tasks =
-  let n = Array.length tasks in
-  let results = Array.make n None in
-  let b = batch () in
-  let member i () =
-    let r = tasks.(i) () in
-    results.(i) <- Some r;
-    match on_result with Some cb -> cb i r | None -> ()
-  in
-  let collect () =
-    await b;
-    Array.map (function Some r -> r | None -> assert false (* drained *)) results
-  in
-  (b, member, collect)
-
-let run t ?on_result tasks =
-  if Array.length tasks = 0 then [||]
-  else begin
-    Atomic.incr t.batches;
-    let b, member, collect = wrap_fixed ?on_result tasks in
-    Array.iteri (fun i _ -> submit t b (member i)) tasks;
-    collect ()
-  end
-
-let run_seq ?on_result tasks =
-  if Array.length tasks = 0 then [||]
-  else begin
-    let b, member, collect = wrap_fixed ?on_result tasks in
-    Array.iteri (fun i _ -> submit_now b (member i)) tasks;
-    collect ()
-  end
 
 let stats t =
   {

@@ -5,17 +5,17 @@
     schedulable unit of work.  This module owns {e all} of their
     execution: a persistent pool of OCaml 5 domains with per-worker
     deques and work stealing, shared by every request a daemon serves,
-    plus inline execution paths ({!run_seq}, {!submit_now}) so
-    single-job runs execute obligations through the same entry points
-    without spawning domains.
+    plus an inline path ({!submit_now}) so single-job runs execute
+    obligations through the same batch bookkeeping without spawning
+    domains.
 
-    The pool is deliberately generic: tasks are closures, results are
-    whatever the closure returns.  [Driver.verify_program] submits its
-    per-VC solves here (a transient pool for [jobs > 1], an external
-    shared pool when [Config.sched] is set), and the daemon's many
-    concurrent requests interleave their batches in the same workers —
-    which is what turns per-program parallelism into fleet-wide
-    obligation scheduling.
+    The pool is deliberately generic: tasks are closures.
+    [Driver.verify_program] runs each program as one {!batch}, per its
+    [Config.pool]: inline, on a transient pool ([Domains n]), or on a
+    pool the caller owns ([Borrowed], the daemon's warm pool), where
+    the daemon's many concurrent requests interleave their batches in
+    the same workers — which is what turns per-program parallelism into
+    fleet-wide obligation scheduling.
 
     Scheduling discipline: tasks submitted from outside the pool are
     dealt round-robin to the {e tail} of the worker deques; a task
@@ -30,23 +30,21 @@
     reproduces the interning layout of a sequential run (see
     [test_vcheck]'s jobs-determinism test).
 
-    Concurrency contract: {!run} and batches may be used from any
-    number of threads at once; batches share the workers fairly.  The
-    [on_result] callback runs in the worker domain that finished the
-    task, so it must be thread-safe; {!run} returns (and {!await}
-    unblocks) only after every task {e and} every [on_result] callback
-    of the batch has completed. *)
+    Concurrency contract: batches may be used from any number of
+    threads at once and share the workers fairly; a task runs in
+    whichever worker domain takes it, so what it touches must be
+    thread-safe. *)
 
 type t
 (** A pool of worker domains with per-worker deques. *)
 
-(** Lifetime counters, for [verusd status] and the daemon bench. *)
+(** Lifetime counters, for the daemon's [status] and the benches. *)
 type stats = {
   sd_domains : int;  (** worker domains in the pool *)
   sd_submitted : int;  (** tasks ever enqueued *)
   sd_executed : int list;  (** tasks taken and run, per worker (length [sd_domains]) *)
   sd_stolen : int;  (** tasks a worker took from another worker's deque *)
-  sd_batches : int;  (** batches ever started ({!run} calls + {!batch}es run on the pool) *)
+  sd_batches : int;  (** batches that ever {!submit}ted a task to this pool *)
 }
 
 val create : domains:int -> t
@@ -54,26 +52,7 @@ val create : domains:int -> t
     [Invalid_argument] otherwise).  Workers sleep when every deque is
     empty and are woken by submission. *)
 
-val domain_count : t -> int
-(** Number of worker domains in the pool. *)
-
-val run : t -> ?on_result:(int -> 'a -> unit) -> (unit -> 'a) array -> 'a array
-(** Execute one fixed batch.  Tasks are dealt round-robin across the
-    worker deques; idle workers steal.  [on_result i r] is invoked in
-    the finishing worker's domain as soon as task [i] completes — this
-    is what the daemon's streamed per-VC verdicts ride on.  The
-    returned array is index-aligned with the input regardless of
-    completion order.  If a task (or its callback) raises, the first
-    exception is re-raised here after the whole batch has drained —
-    stragglers are never abandoned in the queue. *)
-
-val run_seq : ?on_result:(int -> 'a -> unit) -> (unit -> 'a) array -> 'a array
-(** The sequential path: execute a fixed batch inline on the calling
-    thread, in submission order, with the same [on_result] contract.
-    Obligation execution stays in this module even when no pool
-    exists. *)
-
-(** {2 Dynamic batches}
+(** {2 Batches}
 
     A {!batch} is an open-ended set of tasks that can grow while it
     runs: a task may {!submit} further tasks into its own batch (the
@@ -87,24 +66,25 @@ type batch
 
 val batch : unit -> batch
 
-val submit : t -> batch -> ?on_result:(unit -> unit) -> (unit -> unit) -> unit
+val submit : t -> batch -> (unit -> unit) -> unit
 (** Enqueue one task of [batch] on the pool.  Called from a worker of
     the same pool, the task goes to the head of that worker's own
     deque (depth-first, stealable from the tail); called from outside,
-    it is dealt round-robin.  [on_result] runs in the finishing
-    worker's domain right after the task.  Submitting after the batch
-    has fully drained and {!await} returned is a programming error
-    (the barrier is one-shot). *)
+    it is dealt round-robin.  The batch's first task on a pool counts
+    in that pool's [sd_batches].  Submitting after the batch has fully
+    drained and {!await} returned is a programming error (the barrier
+    is one-shot). *)
 
-val submit_now : batch -> ?on_result:(unit -> unit) -> (unit -> unit) -> unit
+val submit_now : batch -> (unit -> unit) -> unit
 (** Run one task of [batch] inline, immediately, on the calling
-    thread — the sequential twin of {!submit}, so [jobs = 1] and pool
-    runs share the batch bookkeeping (exception capture included). *)
+    thread, in submission order — the sequential twin of {!submit}, so
+    inline and pool runs share the batch bookkeeping (exception capture
+    included). *)
 
 val await : batch -> unit
-(** Block until every task of the batch (and every [on_result]) has
-    completed, then return.  If any task or callback raised, the first
-    exception is re-raised here after the batch has drained. *)
+(** Block until every task of the batch has completed, then return.  If
+    any task raised, the first exception is re-raised here after the
+    batch has drained — stragglers are never abandoned in the queue. *)
 
 val stats : t -> stats
 

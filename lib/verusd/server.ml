@@ -1,19 +1,8 @@
 type directive = Continue | Stop
 type handler = emit:(Vbase.Json.t -> unit) -> Rpc.request -> directive
 
-type config = { socket_path : string; backlog : int }
-
-let default_config ~socket_path = { socket_path; backlog = 64 }
-
-type stats = {
-  sv_connections : int;
-  sv_requests : int;
-  sv_proto_errors : int;
-  sv_started_at : float;
-}
-
 type t = {
-  cfg : config;
+  socket_path : string;
   listen_fd : Unix.file_descr;
   wake_r : Unix.file_descr;  (* self-pipe: shutdown wakes the select in serve *)
   wake_w : Unix.file_descr;
@@ -21,38 +10,34 @@ type t = {
   conns : (Unix.file_descr, unit) Hashtbl.t;  (* live connections, under [lock] *)
   threads : Thread.t list ref;
   lock : Mutex.t;
-  connections : int Atomic.t;
-  requests : int Atomic.t;
-  proto_errors : int Atomic.t;
-  started_at : float;
 }
 
-let create cfg =
+let create ~socket_path =
   (* A worker writing an event to a client that already hung up must
      see EPIPE as an exception, not die of SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let ( let* ) = Result.bind in
   let* () =
-    if not (Sys.file_exists cfg.socket_path) then Ok ()
+    if not (Sys.file_exists socket_path) then Ok ()
     else begin
       (* Distinguish a stale socket file (previous daemon died) from a
          live one (another daemon is still bound to it). *)
       let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect probe (Unix.ADDR_UNIX cfg.socket_path) with
+      match Unix.connect probe (Unix.ADDR_UNIX socket_path) with
       | () ->
         Unix.close probe;
-        Error (Printf.sprintf "socket %s is already served by a live daemon" cfg.socket_path)
+        Error (Printf.sprintf "socket %s is already served by a live daemon" socket_path)
       | exception Unix.Unix_error _ ->
         Unix.close probe;
-        (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+        (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
         Ok ()
     end
   in
   match
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try
-       Unix.bind fd (Unix.ADDR_UNIX cfg.socket_path);
-       Unix.listen fd cfg.backlog
+       Unix.bind fd (Unix.ADDR_UNIX socket_path);
+       Unix.listen fd 64
      with e ->
        Unix.close fd;
        raise e);
@@ -62,7 +47,7 @@ let create cfg =
     let wake_r, wake_w = Unix.pipe () in
     Ok
       {
-        cfg;
+        socket_path;
         listen_fd = fd;
         wake_r;
         wake_w;
@@ -70,23 +55,9 @@ let create cfg =
         conns = Hashtbl.create 16;
         threads = ref [];
         lock = Mutex.create ();
-        connections = Atomic.make 0;
-        requests = Atomic.make 0;
-        proto_errors = Atomic.make 0;
-        started_at = Unix.gettimeofday ();
       }
   | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "cannot listen on %s: %s" cfg.socket_path (Unix.error_message e))
-
-let socket_path t = t.cfg.socket_path
-
-let stats t =
-  {
-    sv_connections = Atomic.get t.connections;
-    sv_requests = Atomic.get t.requests;
-    sv_proto_errors = Atomic.get t.proto_errors;
-    sv_started_at = t.started_at;
-  }
+    Error (Printf.sprintf "cannot listen on %s: %s" socket_path (Unix.error_message e))
 
 let shutdown t =
   if not (Atomic.exchange t.stop true) then begin
@@ -105,10 +76,7 @@ let handle_conn t (handler : handler) fd =
       ~finally:(fun () -> Mutex.unlock wm)
       (fun () -> try Rpc.write_frame fd j with Unix.Unix_error _ -> ())
   in
-  let emit_error ~id e =
-    Atomic.incr t.proto_errors;
-    emit (Rpc.event_to_json ~id (Rpc.E_error e))
-  in
+  let emit_error ~id e = emit (Rpc.event_to_json ~id (Rpc.E_error e)) in
   let rec loop () =
     match Rpc.read_frame fd with
     | Rpc.Eof -> ()
@@ -127,7 +95,6 @@ let handle_conn t (handler : handler) fd =
           emit_error ~id e;
           loop ()
         | Ok req -> (
-          Atomic.incr t.requests;
           let directive =
             try handler ~emit req
             with e ->
@@ -159,7 +126,6 @@ let serve t handler =
       if (not (Atomic.get t.stop)) && List.mem t.listen_fd readable then begin
         (match Unix.accept t.listen_fd with
         | fd, _ ->
-          Atomic.incr t.connections;
           Mutex.lock t.lock;
           Hashtbl.replace t.conns fd ();
           let th = Thread.create (handle_conn t handler) fd in
@@ -185,4 +151,4 @@ let serve t handler =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-  try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ()
+  try Unix.unlink t.socket_path with Unix.Unix_error _ -> ()

@@ -3,11 +3,10 @@
     Owns the transport only: a Unix-domain listening socket, one
     handler thread per accepted connection, per-connection framed
     reads, and a thread-safe [emit] for writes.  What a request {e
-    means} is delegated to the injected {!handler} — the daemon binary
-    wires in {!Verus.Vservice}'s handler, the tests wire in scripted
-    ones — so the transport layer has no dependency on the
-    verification stack and the protocol can be exercised without a
-    solver behind it.
+    means} is delegated to the injected {!handler} —
+    [Verus.Vservice.serve] wires in its job handler — so the transport
+    layer has no dependency on the verification stack and the protocol
+    can be exercised without a solver behind it.
 
     Protocol errors the transport itself detects are answered before
     the handler ever runs: an unreadable frame ([RPC001]/[RPC007])
@@ -34,31 +33,12 @@ type handler = emit:(Vbase.Json.t -> unit) -> Rpc.request -> directive
     (the final [done]/[error] frame included).  Exceptions escaping the
     handler are caught and answered with an [RPC006] error event. *)
 
-type config = {
-  socket_path : string;  (** Unix-domain socket path; created at {!create} *)
-  backlog : int;  (** listen(2) backlog *)
-}
-
-val default_config : socket_path:string -> config
-(** [backlog = 64]. *)
-
-(** Transport-level counters, surfaced by the [status] method. *)
-type stats = {
-  sv_connections : int;  (** connections ever accepted *)
-  sv_requests : int;  (** well-formed requests dispatched to the handler *)
-  sv_proto_errors : int;  (** error events answered at the transport layer *)
-  sv_started_at : float;  (** [Unix.gettimeofday] at {!create} *)
-}
-
 type t
 
-val create : config -> (t, string) result
-(** Bind and listen.  A stale socket file at [socket_path] is
-    unlinked first; a live one (another daemon still bound) is an
-    error. *)
-
-val socket_path : t -> string
-val stats : t -> stats
+val create : socket_path:string -> (t, string) result
+(** Bind and listen on the Unix-domain socket [socket_path] (backlog
+    64).  A stale socket file there is unlinked first; a live one
+    (another daemon still bound) is an error. *)
 
 val serve : t -> handler -> unit
 (** Accept loop; blocks until {!shutdown} is called (by another

@@ -74,12 +74,6 @@ module Rung = struct
         cfg with
         Smt.Solver.budget = scale_budget cfg.Smt.Solver.budget ~deadline ~rounds ~instances;
       }
-
-  let apply_pruning r profile_prunes =
-    match r.r_pruning with
-    | P_profile -> profile_prunes
-    | P_prune -> true
-    | P_full -> false
 end
 
 module Ladder = struct

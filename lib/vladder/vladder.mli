@@ -71,10 +71,6 @@ module Rung : sig
   val apply_config : t -> Smt.Solver.config -> Smt.Solver.config
   (** The rung's effective solver configuration, given the profile's
       base config (with [certify] already set by the caller). *)
-
-  val apply_pruning : t -> bool -> bool
-  (** [apply_pruning r profile_prunes] — whether this rung's context is
-      pruned. *)
 end
 
 module Ladder : sig

@@ -4,6 +4,13 @@
 
 module M = Ironkv.Marshal
 module Dm = Ironkv.Delegation_map
+module W = Ironkv.Workload
+
+(* A fault plan with each (site, percentage) armed. *)
+let plan ~seed sites =
+  let p = Vbase.Faultplan.create ~seed () in
+  List.iter (fun (site, pct) -> Vbase.Faultplan.set_prob p site ~pct) sites;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* Marshalling                                                         *)
@@ -113,14 +120,14 @@ let prop_dmap_pivot_compact =
 (* ------------------------------------------------------------------ *)
 
 let test_cluster_crosscheck () =
-  match Ironkv.Workload.crosscheck ~ops:1500 ~seed:11 () with
+  match snd (W.crosscheck ~ops:1500 ~seed:11 ()) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_cluster_crosscheck_seeds () =
   List.iter
     (fun seed ->
-      match Ironkv.Workload.crosscheck ~ops:600 ~seed () with
+      match snd (W.crosscheck ~ops:600 ~seed ()) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed e))
     [ 1; 2; 3; 4; 5 ]
@@ -130,7 +137,7 @@ let test_cluster_duplicates () =
      The at-most-once table must absorb every duplicate. *)
   List.iter
     (fun seed ->
-      match Ironkv.Workload.crosscheck ~ops:600 ~seed ~dup_pct:30 () with
+      match snd (W.crosscheck ~ops:600 ~seed ~dup_pct:30 ()) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "dup seed %d: %s" seed e))
     [ 21; 22; 23 ]
@@ -178,10 +185,11 @@ let test_crosscheck_fault_mix () =
      combination. *)
   List.iter
     (fun (seed, fault_seed) ->
-      match
-        Ironkv.Workload.crosscheck ~ops:400 ~seed ~dup_pct:20 ~drop_pct:10 ~net_dup_pct:10
-          ~reorder_pct:15 ~delay_pct:10 ~redelegate:true ~fault_seed ()
-      with
+      let faults =
+        plan ~seed:fault_seed
+          [ ("net.drop", 10); ("net.dup", 10); ("net.reorder", 15); ("net.delay", 10) ]
+      in
+      match snd (W.crosscheck ~ops:400 ~seed ~dup_pct:20 ~faults ()) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "mix seed %d/%d: %s" seed fault_seed e))
     [ (31, 1); (32, 2); (33, 3); (34, 4) ]
@@ -189,33 +197,23 @@ let test_crosscheck_fault_mix () =
 let test_crosscheck_single_faults () =
   (* Each fault class alone, at a nastier rate than in the mix. *)
   List.iter
-    (fun (label, drop, ndup, reorder, delay) ->
-      match
-        Ironkv.Workload.crosscheck ~ops:400 ~seed:44 ~drop_pct:drop ~net_dup_pct:ndup
-          ~reorder_pct:reorder ~delay_pct:delay ~fault_seed:9 ()
-      with
+    (fun (site, pct) ->
+      match snd (W.crosscheck ~ops:400 ~seed:44 ~faults:(plan ~seed:9 [ (site, pct) ]) ()) with
       | Ok () -> ()
-      | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" label e))
-    [
-      ("drop 25%", 25, 0, 0, 0);
-      ("dup 25%", 0, 25, 0, 0);
-      ("reorder 40%", 0, 0, 40, 0);
-      ("delay 25%", 0, 0, 0, 25);
-    ]
+      | Error e -> Alcotest.fail (Printf.sprintf "%s %d%%: %s" site pct e))
+    [ ("net.drop", 25); ("net.dup", 25); ("net.reorder", 40); ("net.delay", 25) ]
 
 let test_fault_replay_deterministic () =
   (* Same workload seed + same plan seed ⇒ the same faults fire at the
      same steps: the plan traces are byte-identical. *)
   let trace () =
-    let plan = Vbase.Faultplan.create ~seed:123 () in
-    Vbase.Faultplan.set_prob plan "net.drop" ~pct:8;
-    Vbase.Faultplan.set_prob plan "net.dup" ~pct:8;
-    Vbase.Faultplan.set_prob plan "net.reorder" ~pct:8;
-    Vbase.Faultplan.set_prob plan "net.delay" ~pct:8;
-    (match Ironkv.Workload.crosscheck ~ops:300 ~seed:55 ~faults:plan () with
+    let faults =
+      plan ~seed:123 [ ("net.drop", 8); ("net.dup", 8); ("net.reorder", 8); ("net.delay", 8) ]
+    in
+    (match snd (W.crosscheck ~ops:300 ~seed:55 ~faults ()) with
     | Ok () -> ()
     | Error e -> Alcotest.fail e);
-    Vbase.Faultplan.trace_to_string plan
+    Vbase.Faultplan.trace_to_string faults
   in
   let t1 = trace () and t2 = trace () in
   Alcotest.(check bool) "faults actually fired" true (String.length t1 > 0);
@@ -272,18 +270,16 @@ let test_run_with_faults_terminates () =
   (* The closed-loop benchmark client must terminate (via retransmission)
      under a lossy network, and report its retries. *)
   let r =
-    Ironkv.Workload.run ~hosts:3 ~clients:4 ~keys:500 ~payload:32 ~ops:300 ~drop_pct:15
-      ~net_dup_pct:10 ~fault_seed:5 ~style:`Inplace ()
+    W.run ~hosts:3 ~clients:4 ~keys:500 ~payload:32 ~ops:300
+      ~faults:(plan ~seed:5 [ ("net.drop", 15); ("net.dup", 10) ])
+      ~style:`Inplace ()
   in
-  Alcotest.(check int) "all ops completed" 300 r.Ironkv.Workload.ops_done;
-  Alcotest.(check bool) "losses forced retransmissions" true
-    (r.Ironkv.Workload.retransmissions > 0)
+  Alcotest.(check int) "all ops completed" 300 r.W.ops_done;
+  Alcotest.(check bool) "losses forced retransmissions" true (r.W.retransmissions > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Durability: group commit, crash recovery, storms                    *)
 (* ------------------------------------------------------------------ *)
-
-module W = Ironkv.Workload
 
 let dur group = { W.du_group = group; du_mem_bytes = 1 lsl 22 }
 
@@ -293,7 +289,7 @@ let test_durable_crosscheck () =
      replies. *)
   List.iter
     (fun group ->
-      match W.crosscheck ~ops:400 ~seed:61 ~durability:(dur group) () with
+      match snd (W.crosscheck ~ops:400 ~seed:61 ~durability:(dur group) ()) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "group %d: %s" group e))
     [ 1; 4; 16 ]
@@ -305,10 +301,10 @@ let test_storm_crosscheck () =
      every acknowledged write. *)
   List.iter
     (fun (seed, fault_seed) ->
-      let report, verdict =
-        W.crosscheck_report ~ops:350 ~seed ~fault_seed ~durability:(dur 4) ~crash_pct:2
-          ~partition_pct:1 ~torn_pct:1 ()
+      let faults =
+        plan ~seed:fault_seed [ (W.crash_site, 2); (W.partition_site, 1); ("pmem.torn", 1) ]
       in
+      let report, verdict = W.crosscheck ~ops:350 ~seed ~faults ~durability:(dur 4) () in
       (match verdict with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Printf.sprintf "storm %d/%d: %s" seed fault_seed e));
@@ -325,16 +321,114 @@ let test_storm_double_fault () =
      Recovery is read-only, so the reboot restarts it from the same
      committed prefix — the storm must still end with no acked write
      lost. *)
-  let plan = Vbase.Faultplan.create ~seed:5 () in
-  Vbase.Faultplan.set_prob plan Ironkv.Durable.crash_during_recovery_site ~pct:40;
-  let report, verdict =
-    W.crosscheck_report ~ops:300 ~seed:81 ~faults:plan ~durability:(dur 2) ~crash_pct:3
-      ~torn_pct:2 ()
+  let faults =
+    plan ~seed:5
+      [ (Ironkv.Durable.crash_during_recovery_site, 40); (W.crash_site, 3); ("pmem.torn", 2) ]
   in
+  let report, verdict = W.crosscheck ~ops:300 ~seed:81 ~faults ~durability:(dur 2) () in
   (match verdict with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "crashes struck" true (report.W.sr_crashes + report.W.sr_torn > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Schedule pins                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The IronKV counterpart of bin/digest_manifest.txt: per fault
+   configuration of the benches, the smoke stages and the storm tests,
+   the digest of the plan's fault trace and every counter that is not a
+   timing.  The values were recorded when the workload still armed its
+   own plan from per-site percentage arguments; they pin that arming
+   through the caller's plan, the storm sites' hold during cluster setup
+   included (the torn-heavy row fails without it), changes nothing. *)
+let test_schedule_pins () =
+  let net_stats r = List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) r.W.net_stats in
+  let run_counters (r : W.result) =
+    Printf.sprintf "ops %d bytes %d retx %d %s crashes %d recov %d replayed %d commits %d"
+      r.W.ops_done r.W.net_bytes r.W.retransmissions
+      (String.concat " " (net_stats r))
+      r.W.crashes r.W.recoveries r.W.replayed r.W.commits
+  in
+  let crosscheck_counters ((s : W.storm_report), verdict) =
+    Printf.sprintf
+      "%s ops %d crashes %d torn %d partitions %d recov %d replayed %d readback %d retx %d"
+      (match verdict with Ok () -> "Ok" | Error e -> "Error " ^ e)
+      s.W.sr_ops s.W.sr_crashes s.W.sr_torn s.W.sr_partitions s.W.sr_recoveries s.W.sr_replayed
+      s.W.sr_readback s.W.sr_retransmissions
+  in
+  let storm ~crash = [ (W.crash_site, crash); (W.partition_site, 1); ("pmem.torn", 1) ] in
+  let mib n = n lsl 20 in
+  let pins =
+    [
+      ( "lossy run",
+        plan ~seed:5 [ ("net.drop", 15); ("net.dup", 10) ],
+        (fun faults ->
+          run_counters
+            (W.run ~hosts:3 ~clients:4 ~keys:500 ~payload:32 ~ops:300 ~faults ~style:`Inplace ())),
+        "8ece68d3369c95549f56e1e31613189b",
+        "ops 300 bytes 35389 retx 94 sent 785 dropped 104 duplicated 74 reordered 0 delayed 0 \
+         parked 0 dedup_suppressed 0 crashes 0 recov 0 replayed 0 commits 0" );
+      ( "smoke faults",
+        plan ~seed:7 [ ("net.drop", 5); ("net.dup", 5) ],
+        (fun faults -> crosscheck_counters (W.crosscheck ~ops:800 ~seed:7 ~faults ())),
+        "3066d1b4e721290e7c1e4d5eb5fab7b5",
+        "Ok ops 800 crashes 0 torn 0 partitions 0 recov 0 replayed 0 readback 278 retx 98" );
+      ( "bench kv storm crosscheck",
+        plan ~seed:78 (storm ~crash:2),
+        (fun faults ->
+          crosscheck_counters
+            (W.crosscheck ~ops:300 ~seed:29 ~faults
+               ~durability:{ W.du_group = 4; du_mem_bytes = mib 16 }
+               ())),
+        "e2151174e34fcfabbac645fc5ffe1b78",
+        "Ok ops 300 crashes 14 torn 3 partitions 1 recov 17 replayed 1058 readback 112 retx 7" );
+      ( "bench kv storm run",
+        plan ~seed:77 (storm ~crash:1),
+        (fun faults ->
+          run_counters
+            (W.run ~ops:1000 ~faults ~durability:{ W.du_group = 4; du_mem_bytes = mib 16 }
+               ~style:`Inplace ())),
+        "ec8b5c93e50fcb3754ac6b0f93dad3c6",
+        "ops 1000 bytes 192715 retx 45 sent 2073 dropped 0 duplicated 0 reordered 0 delayed 0 \
+         parked 31 dedup_suppressed 0 crashes 30 recov 30 replayed 5614 commits 1004" );
+      ( "smoke kv",
+        plan ~seed:19
+          ([
+             ("net.drop", 5);
+             ("net.dup", 5);
+             ("net.reorder", 5);
+             ("net.delay", 5);
+             (Ironkv.Durable.crash_during_recovery_site, 10);
+           ]
+          @ storm ~crash:2),
+        (fun faults ->
+          crosscheck_counters
+            (W.crosscheck ~ops:500 ~seed:23 ~dup_pct:10 ~faults
+               ~durability:{ W.du_group = 4; du_mem_bytes = mib 4 }
+               ())),
+        "edef05f1efae8d3cf1c30f1571125e23",
+        "Ok ops 500 crashes 10 torn 16 partitions 6 recov 26 replayed 2458 readback 215 retx 130"
+      );
+      ( "torn-heavy",
+        plan ~seed:1 [ ("pmem.torn", 30) ],
+        (fun faults ->
+          crosscheck_counters
+            (W.crosscheck ~ops:60 ~seed:5 ~faults
+               ~durability:{ W.du_group = 1; du_mem_bytes = mib 4 }
+               ())),
+        "277dfbf89928220456090d96d66e4345",
+        "Ok ops 60 crashes 0 torn 49 partitions 0 recov 49 replayed 649 readback 26 retx 48" );
+    ]
+  in
+  List.iter
+    (fun (label, faults, run, digest, counters) ->
+      Alcotest.(check string) (label ^ ": counters") counters (run faults);
+      Alcotest.(check string)
+        (label ^ ": trace digest")
+        digest
+        (Digest.to_hex (Digest.string (Vbase.Faultplan.trace_to_string faults))))
+    pins
 
 let canon h =
   ( List.sort compare (Ironkv.Host.dump h),
@@ -488,6 +582,7 @@ let () =
           Alcotest.test_case "durable crosscheck" `Quick test_durable_crosscheck;
           Alcotest.test_case "crash+partition storms" `Quick test_storm_crosscheck;
           Alcotest.test_case "double fault" `Quick test_storm_double_fault;
+          Alcotest.test_case "schedule pins" `Quick test_schedule_pins;
         ] );
       qsuite "durability-props" [ prop_crash_points; prop_crash_points_double_fault ];
       ( "epr-proof",

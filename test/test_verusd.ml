@@ -17,29 +17,17 @@ module Rpc = Verusd.Rpc
 (* Sched                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_sched_run_results () =
-  let pool = Sched.create ~domains:3 in
-  Fun.protect
-    ~finally:(fun () -> Sched.shutdown pool)
-    (fun () ->
-      let n = 50 in
-      let tasks = Array.init n (fun i () -> i * i) in
-      let out = Sched.run pool tasks in
-      Alcotest.(check (list int))
-        "results index-aligned"
-        (List.init n (fun i -> i * i))
-        (Array.to_list out))
-
-let test_sched_run_seq_order () =
+(* The inline path: each task has run before [submit_now] returns, in
+   submission order. *)
+let test_sched_submit_now_order () =
   let order = ref [] in
-  let tasks =
-    Array.init 5 (fun i () ->
-        order := i :: !order;
-        i)
-  in
-  let out = Sched.run_seq tasks in
-  Alcotest.(check (list int)) "sequential order" [ 0; 1; 2; 3; 4 ] (List.rev !order);
-  Alcotest.(check (list int)) "results" [ 0; 1; 2; 3; 4 ] (Array.to_list out)
+  let b = Sched.batch () in
+  for i = 0 to 4 do
+    Sched.submit_now b (fun () -> order := i :: !order);
+    Alcotest.(check int) "ran inline" (i + 1) (List.length !order)
+  done;
+  Sched.await b;
+  Alcotest.(check (list int)) "sequential order" [ 0; 1; 2; 3; 4 ] (List.rev !order)
 
 (* A task may submit subtasks into its own batch; await must drain the
    whole growing set — this is exactly how the driver's per-function
@@ -70,13 +58,14 @@ let test_sched_exception () =
     ~finally:(fun () -> Sched.shutdown pool)
     (fun () ->
       let ran = Atomic.make 0 in
-      let tasks =
-        Array.init 10 (fun i () ->
+      let b = Sched.batch () in
+      for i = 0 to 9 do
+        Sched.submit pool b (fun () ->
             if i = 4 then failwith "boom";
             Atomic.incr ran)
-      in
-      (match Sched.run pool tasks with
-      | _ -> Alcotest.fail "expected the task exception to propagate"
+      done;
+      (match Sched.await b with
+      | () -> Alcotest.fail "expected the task exception to propagate"
       | exception Failure m -> Alcotest.(check string) "first exception" "boom" m);
       (* The batch drained before re-raising: every other task ran. *)
       Alcotest.(check int) "no stragglers abandoned" 9 (Atomic.get ran))
@@ -86,13 +75,23 @@ let test_sched_stats () =
   Fun.protect
     ~finally:(fun () -> Sched.shutdown pool)
     (fun () ->
-      let _ = Sched.run pool (Array.init 20 (fun i () -> i)) in
+      let b = Sched.batch () in
+      for _ = 1 to 20 do
+        Sched.submit pool b ignore
+      done;
+      Sched.await b;
+      (* An inline batch never reaches the pool. *)
+      let inline = Sched.batch () in
+      Sched.submit_now inline ignore;
+      Sched.await inline;
       let s = Sched.stats pool in
       Alcotest.(check int) "domains" 2 s.Sched.sd_domains;
       Alcotest.(check int) "submitted" 20 s.Sched.sd_submitted;
       Alcotest.(check int) "executed sums to submitted" 20
         (List.fold_left ( + ) 0 s.Sched.sd_executed);
-      Alcotest.(check int) "one batch" 1 s.Sched.sd_batches)
+      Alcotest.(check bool) "stolen within executed" true
+        (s.Sched.sd_stolen >= 0 && s.Sched.sd_stolen <= 20);
+      Alcotest.(check int) "one pooled batch" 1 s.Sched.sd_batches)
 
 (* ------------------------------------------------------------------ *)
 (* Rpc: JSON roundtrips and the validator                              *)
@@ -521,7 +520,8 @@ let test_daemon_negatives () =
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "daemon should close after a malformed frame"))
 
-(* status: required fields present and sane. *)
+(* status after two jobs on a fresh daemon: required fields present and
+   sane, and one scheduler batch counted per job. *)
 let test_daemon_status () =
   with_daemon ~domains:2 (fun socket_path ->
       match Verusd.Client.connect ~socket_path with
@@ -530,14 +530,63 @@ let test_daemon_status () =
         Fun.protect
           ~finally:(fun () -> Verusd.Client.close c)
           (fun () ->
+            for _ = 1 to 2 do
+              ignore (done_exn (call_exn c (verify_query ~stream:false "singly_linked")))
+            done;
             match call_exn c (Rpc.request Rpc.M_status) with
             | Rpc.E_status j ->
               Alcotest.(check int) "domains" 2 (jint j "domains");
-              Alcotest.(check bool) "requests counted" true (jint j "requests" >= 1);
+              Alcotest.(check int) "requests counted" 3 (jint j "requests");
               (match J.member "uptime_s" j with
               | Some v when Option.is_some (J.to_float v) -> ()
-              | _ -> Alcotest.fail "status missing uptime_s")
+              | _ -> Alcotest.fail "status missing uptime_s");
+              let sched =
+                match J.member "sched" j with Some s -> s | None -> Alcotest.fail "no sched"
+              in
+              Alcotest.(check int) "one batch per job" 2 (jint sched "batches")
             | _ -> Alcotest.fail "expected a status event"))
+
+(* Every warm hit streams as cached: a hit whose answer is not Unsat
+   (break_pop's unknown obligation), and a certified entry served to a
+   run without certify.  The cached vc events number the done payload's
+   cache hits. *)
+let test_cached_events () =
+  let cache_dir = fresh_dir "cached" in
+  with_daemon ~domains:2 ~cache_dir (fun socket_path ->
+      match Verusd.Client.connect ~socket_path with
+      | Error e -> Alcotest.fail e
+      | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Verusd.Client.close c)
+          (fun () ->
+            let run q =
+              let vcs = ref [] in
+              let on_event = function
+                | Rpc.E_vc { answer; cached; _ } -> vcs := (answer, cached) :: !vcs
+                | _ -> ()
+              in
+              let d = done_exn (call_exn c ~on_event (Rpc.request ~id:4 (Rpc.M_job q))) in
+              let hits =
+                match J.member "cache" d with
+                | Some cache -> jint cache "hits"
+                | None -> Alcotest.fail "no cache stats"
+              in
+              (!vcs, hits)
+            in
+            let check what q =
+              let vcs, hits = run q in
+              let cached = List.length (List.filter snd vcs) in
+              Alcotest.(check bool) (what ^ ": warm run hits") true (hits > 0);
+              Alcotest.(check int) (what ^ ": cached events = hits") hits cached;
+              vcs
+            in
+            let pop = Rpc.query Rpc.Verify "break_pop" in
+            ignore (run pop);
+            let vcs = check "unknown answer" pop in
+            Alcotest.(check bool) "break_pop's unknown obligation streamed cached" true
+              (List.mem ("unknown", true) vcs);
+            ignore (run (Rpc.query ~certify:true Rpc.Verify "singly_linked"));
+            ignore (check "certified entry, plain run" (Rpc.query Rpc.Verify "singly_linked"))))
 
 (* ------------------------------------------------------------------ *)
 
@@ -546,8 +595,7 @@ let () =
     [
       ( "sched",
         [
-          Alcotest.test_case "run results" `Quick test_sched_run_results;
-          Alcotest.test_case "run_seq order" `Quick test_sched_run_seq_order;
+          Alcotest.test_case "submit_now order" `Quick test_sched_submit_now_order;
           Alcotest.test_case "dynamic batch" `Quick test_sched_dynamic_batch;
           Alcotest.test_case "exception propagation" `Quick test_sched_exception;
           Alcotest.test_case "stats" `Quick test_sched_stats;
@@ -569,5 +617,6 @@ let () =
             test_shared_cache_across_clients;
           Alcotest.test_case "protocol negatives" `Quick test_daemon_negatives;
           Alcotest.test_case "status" `Quick test_daemon_status;
+          Alcotest.test_case "cached vc events" `Quick test_cached_events;
         ] );
     ]
