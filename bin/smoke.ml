@@ -17,7 +17,8 @@
      smoke daemon          an in-process daemon serving overlapping clients
                            with in-process digests and a warm shared cache
      smoke docs FILE       every fenced ```json block of FILE
-                           (docs/PROTOCOL.md) passes Rpc.validate_frame
+                           (docs/PROTOCOL.md) passes Rpc.validate_frame;
+                           its error-code table is Rpc.error_codes
      smoke digests FILE    every `program profile setting digest` line of
                            FILE recomputes to the same result digest
 
@@ -486,6 +487,7 @@ let daemon () =
 (* The docs gate: a schema change that forgets the documentation, or a
    documented example the implementation would reject, fails the build. *)
 let docs path =
+  let lines = String.split_on_char '\n' (read_file path) in
   (* Fenced ```json blocks, with the line number each starts on. *)
   let blocks, open_block, _ =
     List.fold_left
@@ -499,8 +501,7 @@ let docs path =
           (blocks, cur, lineno)
         | None, "```json" -> (blocks, Some (lineno + 1, Buffer.create 256), lineno)
         | None, _ -> (blocks, None, lineno))
-      ([], None, 0)
-      (String.split_on_char '\n' (read_file path))
+      ([], None, 0) lines
   in
   (match open_block with
   | Some (start, _) -> fail "%s: unterminated ```json block at line %d" path start
@@ -531,14 +532,33 @@ let docs path =
   if List.length blocks < 10 then
     fail "%s documents only %d examples (expected the full method/event set)" path
       (List.length blocks);
-  pass "%d protocol examples validate against %s" (List.length blocks) Rpc.schema_version
+  pass "%d protocol examples validate against %s" (List.length blocks) Rpc.schema_version;
+  (* The error-code table's rows, backticks dropped, must be
+     [Rpc.error_codes] in order. *)
+  let plain s = String.trim (String.concat "" (String.split_on_char '`' s)) in
+  let documented =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char '|' line with
+        | "" :: code :: meaning :: _ when String.starts_with ~prefix:"RPC" (plain code) ->
+          Some (plain code, plain meaning)
+        | _ -> None)
+      lines
+  in
+  if documented <> Rpc.error_codes then begin
+    List.iter (fun (c, m) -> Printf.eprintf "  documented: %s %s\n" c m) documented;
+    List.iter (fun (c, m) -> Printf.eprintf "  Rpc.error_codes: %s %s\n" c m) Rpc.error_codes;
+    fail "%s: the error-code table differs from Rpc.error_codes" path
+  end;
+  pass "%d error codes match Rpc.error_codes" (List.length documented)
 
 (* ------------------------------ digests ------------------------------ *)
 
 (* The "same verdicts" pin: bench/perf's cold-suite pairs at CLI verify
-   defaults and its ladder-climb pairs up the escalate ladder behind the
-   prescreen.  A "<profile>-liberal" profile is the broad-trigger
-   degradation of a bundled one. *)
+   defaults, its ladder-climb pairs up the escalate ladder behind the
+   prescreen, and every bundled program under Ivy (the EPR arm).  A
+   "<profile>-liberal" profile is the broad-trigger degradation of a
+   bundled one. *)
 let manifest_digest ~program ~profile ~setting =
   let ok = function Ok x -> x | Error e -> fail "%s" e in
   let p =

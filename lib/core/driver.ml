@@ -510,8 +510,8 @@ let attempt_vc env (pd : pending) : step =
         match Smt.Epr.check_fragment all with
         | Error e ->
           (Smt.Solver.Unknown ("outside EPR: " ^ e), "Ivy cannot express this", None)
-        | Ok () ->
-          let r = Smt.Epr.solve ~config:solver_cfg all in
+        | Ok sk ->
+          let r = Smt.Epr.solve ~config:solver_cfg sk in
           smt_prof := Some r.Smt.Solver.profile;
           smt_stats := Some r.Smt.Solver.stats;
           (r.Smt.Solver.answer, "EPR-decided", r.Smt.Solver.cert)

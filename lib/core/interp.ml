@@ -183,38 +183,39 @@ and env_types (p : program) env =
 
 exception Return_exc of value option
 
-let rec exec_stmts ?(quant_bound = 0) ~check p (env : (string * value) list ref) stmts =
-  List.iter (exec_stmt ~quant_bound ~check p env) stmts
+(* Statements run with their contracts checked: a violated requires,
+   ensures, invariant or assert raises [Assertion_failed]. *)
+let rec exec_stmts ?(quant_bound = 0) p (env : (string * value) list ref) stmts =
+  List.iter (exec_stmt ~quant_bound p env) stmts
 
-and exec_stmt ?(quant_bound = 0) ~check p env s =
+and exec_stmt ?(quant_bound = 0) p env s =
   let ev e = eval_expr ~quant_bound p !env e in
   match s with
   | SLet (x, _, e) | SAssign (x, e) ->
     let value = ev e in
     env := (x, value) :: List.remove_assoc x !env
-  | SIf (c, a, b) -> if as_bool (ev c) then exec_stmts ~quant_bound ~check p env a else exec_stmts ~quant_bound ~check p env b
+  | SIf (c, a, b) -> if as_bool (ev c) then exec_stmts ~quant_bound p env a else exec_stmts ~quant_bound p env b
   | SWhile { cond; invariants; decreases = _; body } ->
     let check_invs () =
-      if check then
-        List.iteri
-          (fun i inv ->
-            (* Invariants may quantify; tolerate evaluation failures in
-               dynamic checking rather than failing the run. *)
-            try
-              if not (as_bool (ev inv)) then
-                raise (Assertion_failed (Printf.sprintf "loop invariant %d" i))
-            with Runtime_error _ -> ())
-          invariants
+      List.iteri
+        (fun i inv ->
+          (* Invariants may quantify; tolerate evaluation failures in
+             dynamic checking rather than failing the run. *)
+          try
+            if not (as_bool (ev inv)) then
+              raise (Assertion_failed (Printf.sprintf "loop invariant %d" i))
+          with Runtime_error _ -> ())
+        invariants
     in
     check_invs ();
     while as_bool (ev cond) do
-      exec_stmts ~quant_bound ~check p env body;
+      exec_stmts ~quant_bound p env body;
       check_invs ()
     done
   | SCall (binding, f, args) -> (
     let fd = find_fn p f in
     let arg_values = List.map ev args in
-    let result, mut_out = call_fn ~quant_bound ~check p fd arg_values in
+    let result, mut_out = call_fn ~quant_bound p fd arg_values in
     (* Write back &mut arguments. *)
     List.iter2
       (fun (prm : param) a ->
@@ -229,34 +230,30 @@ and exec_stmt ?(quant_bound = 0) ~check p env s =
     | Some x, Some value -> env := (x, value) :: List.remove_assoc x !env
     | Some _, None -> err "no result from %s" f
     | None, _ -> ())
-  | SAssert (e, _) ->
-    if check then begin
-      try
-        if not (as_bool (ev e)) then raise (Assertion_failed "assert")
-      with Runtime_error _ -> () (* unbounded quantifier in ghost assert *)
-    end
+  | SAssert (e, _) -> (
+    try if not (as_bool (ev e)) then raise (Assertion_failed "assert")
+    with Runtime_error _ -> () (* unbounded quantifier in ghost assert *))
   | SAssume _ -> ()
   | SReturn eo -> raise (Return_exc (Option.map ev eo))
 
-and call_fn ?(quant_bound = 0) ~check p (fd : fndecl) (args : value list) :
+and call_fn ?(quant_bound = 0) p (fd : fndecl) (args : value list) :
     value option * (string * value) list =
   let env0 =
     List.map2 (fun (prm : param) v -> (prm.pname, v)) fd.params args
     @ List.map2 (fun (prm : param) v -> ("old$" ^ prm.pname, v)) fd.params args
   in
-  if check then
-    List.iteri
-      (fun i req ->
-        try
-          if not (as_bool (eval_expr ~quant_bound p env0 req)) then
-            raise (Assertion_failed (Printf.sprintf "%s: requires %d" fd.fname i))
-        with Runtime_error _ -> ())
-      fd.requires;
+  List.iteri
+    (fun i req ->
+      try
+        if not (as_bool (eval_expr ~quant_bound p env0 req)) then
+          raise (Assertion_failed (Printf.sprintf "%s: requires %d" fd.fname i))
+      with Runtime_error _ -> ())
+    fd.requires;
   let body = match fd.body with Some b -> b | None -> err "no body for %s" fd.fname in
   let env = ref env0 in
   let result =
     try
-      exec_stmts ~quant_bound ~check p env body;
+      exec_stmts ~quant_bound p env body;
       None
     with Return_exc v -> v
   in
@@ -266,29 +263,27 @@ and call_fn ?(quant_bound = 0) ~check p (fd : fndecl) (args : value list) :
         if prm.pmut then Some (prm.pname, List.assoc prm.pname !env) else None)
       fd.params
   in
-  if check then begin
-    let env_post =
-      (match (result, fd.ret) with
-      | Some value, Some (rname, _) -> [ (rname, value) ]
-      | _ -> [])
-      @ List.map
-          (fun (prm : param) ->
-            match List.assoc_opt prm.pname mut_out with
-            | Some v -> (prm.pname, v)
-            | None -> (prm.pname, List.assoc prm.pname env0))
-          fd.params
-      @ List.map (fun (prm : param) -> ("old$" ^ prm.pname, List.assoc prm.pname env0)) fd.params
-    in
-    List.iteri
-      (fun i ens ->
-        try
-          if not (as_bool (eval_expr ~quant_bound p env_post ens)) then
-            raise (Assertion_failed (Printf.sprintf "%s: ensures %d" fd.fname i))
-        with Runtime_error _ -> ())
-      fd.ensures
-  end;
+  let env_post =
+    (match (result, fd.ret) with
+    | Some value, Some (rname, _) -> [ (rname, value) ]
+    | _ -> [])
+    @ List.map
+        (fun (prm : param) ->
+          match List.assoc_opt prm.pname mut_out with
+          | Some v -> (prm.pname, v)
+          | None -> (prm.pname, List.assoc prm.pname env0))
+        fd.params
+    @ List.map (fun (prm : param) -> ("old$" ^ prm.pname, List.assoc prm.pname env0)) fd.params
+  in
+  List.iteri
+    (fun i ens ->
+      try
+        if not (as_bool (eval_expr ~quant_bound p env_post ens)) then
+          raise (Assertion_failed (Printf.sprintf "%s: ensures %d" fd.fname i))
+      with Runtime_error _ -> ())
+    fd.ensures;
   (result, mut_out)
 
-let run_fn ?(check_contracts = true) p fname args =
+let run_fn p fname args =
   let fd = find_fn p fname in
-  call_fn ~quant_bound:0 ~check:check_contracts p fd args
+  call_fn ~quant_bound:0 p fd args

@@ -30,13 +30,7 @@ val eval_expr :
     unbounded quantifiers raise [Runtime_error]; quantified integer
     variables range over [-quant_bound, quant_bound] (default 0: raise). *)
 
-val run_fn :
-  ?check_contracts:bool ->
-  Vir.program ->
-  string ->
-  value list ->
-  value option * (string * value) list
+val run_fn : Vir.program -> string -> value list -> value option * (string * value) list
 (** Execute an exec/proof function.  Returns (result, final values of &mut
-    parameters by name).  With [check_contracts] (default true), requires/
-    ensures/invariants/asserts are evaluated dynamically and raise
-    [Assertion_failed] when violated. *)
+    parameters by name).  Requires/ensures/invariants/asserts are
+    evaluated dynamically and raise [Assertion_failed] when violated. *)

@@ -23,6 +23,15 @@ type stats = {
   corrupt_load : bool;
 }
 
+(* Inode, size and mtime of the store file: a save renames a new document
+   over it, so any other writer's flush changes the stamp. *)
+type stamp = int * int * float
+
+let disk_stamp dir =
+  match Unix.stat (Filename.concat dir file_name) with
+  | st -> Some (st.Unix.st_ino, st.Unix.st_size, st.Unix.st_mtime)
+  | exception Unix.Unix_error _ -> None
+
 type t = {
   dir : string;
   lock : Mutex.t;
@@ -32,6 +41,8 @@ type t = {
   names : (string, string) Hashtbl.t;
   (* entries recorded this run, invisible to lookup until the next open_ *)
   fresh : (string, string * entry) Hashtbl.t;
+  (* the store file's identity when the snapshot was loaded *)
+  stamp : stamp option;
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
@@ -128,31 +139,46 @@ let entry_of_json (j : Vbase.Json.t) : (string * entry) option =
 
 (* ----- open / lookup / store / flush ----- *)
 
+(* The well-formed entries of the store in [dir], and how many were not. *)
+let load dir =
+  let loaded = Vbase.Store.load ~dir ~file:file_name ~schema:schema_version in
+  let dropped = ref loaded.Vbase.Store.dropped in
+  let entries =
+    List.filter_map
+      (fun (fp, j) ->
+        match entry_of_json j with
+        | None ->
+          incr dropped;
+          None
+        | Some ne -> Some (fp, ne))
+      loaded.Vbase.Store.entries
+  in
+  (entries, !dropped, loaded.Vbase.Store.corrupt)
+
 let open_ (cfg : config) : t =
-  let loaded = Vbase.Store.load ~dir:cfg.dir ~file:file_name ~schema:schema_version in
+  (* Stamp first: a save landing between the two only costs a re-read. *)
+  let stamp = disk_stamp cfg.dir in
+  let entries, dropped, corrupt = load cfg.dir in
   let snapshot = Hashtbl.create 256 in
   let names = Hashtbl.create 256 in
-  let dropped = ref loaded.Vbase.Store.dropped in
   List.iter
-    (fun (fp, j) ->
-      match entry_of_json j with
-      | None -> incr dropped
-      | Some (name, e) ->
-        Hashtbl.replace snapshot fp (name, e);
-        Hashtbl.replace names name fp)
-    loaded.Vbase.Store.entries;
+    (fun (fp, (name, e)) ->
+      Hashtbl.replace snapshot fp (name, e);
+      Hashtbl.replace names name fp)
+    entries;
   {
     dir = cfg.dir;
     lock = Mutex.create ();
     snapshot;
     names;
     fresh = Hashtbl.create 64;
+    stamp;
     hits = 0;
     misses = 0;
     invalidations = 0;
     entries_loaded = Hashtbl.length snapshot;
-    entries_dropped = !dropped;
-    corrupt_load = loaded.Vbase.Store.corrupt;
+    entries_dropped = dropped;
+    corrupt_load = corrupt;
   }
 
 let lookup t ~name ~fp ~profile_wanted ~certified_wanted =
@@ -213,19 +239,47 @@ let stats t : stats =
   Mutex.unlock t.lock;
   s
 
+(* Flushes are serialized within the process by [flush_mutex] and across
+   processes by a [lockf] lock on [lock_name] in the cache directory; the
+   mutex is needed because a [lockf] lock belongs to the whole process. *)
+let flush_mutex = Mutex.create ()
+let lock_name = "store.lock"
+
+let with_dir_lock dir f =
+  Mutex.protect flush_mutex (fun () ->
+      Vbase.Store.mkdir_p dir;
+      let fd = Unix.openfile (Filename.concat dir lock_name) [ O_RDWR; O_CREAT; O_CLOEXEC ] 0o644 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.lockf fd F_LOCK 0;
+          f ()))
+
 let flush t =
   Mutex.lock t.lock;
   let dirty = Hashtbl.length t.fresh > 0 || t.corrupt_load || t.entries_dropped > 0 in
+  let write () =
+    (* The snapshot, then what other writers saved since [open_] (the
+       disk is re-read only when its stamp changed), then this run's
+       entries, later ones winning.  Entries are content-addressed, so
+       the union is safe. *)
+    let merged = Hashtbl.copy t.snapshot in
+    if disk_stamp t.dir <> t.stamp then begin
+      let on_disk, _, _ = load t.dir in
+      List.iter (fun (fp, ne) -> Hashtbl.replace merged fp ne) on_disk
+    end;
+    Hashtbl.iter (fun fp ne -> Hashtbl.replace merged fp ne) t.fresh;
+    let entries =
+      Hashtbl.fold (fun fp (name, e) acc -> (fp, entry_to_json name e) :: acc) merged []
+    in
+    Vbase.Store.save ~dir:t.dir ~file:file_name ~schema:schema_version entries
+  in
   let r =
     if not dirty then Ok ()
-    else begin
-      let merged = Hashtbl.copy t.snapshot in
-      Hashtbl.iter (fun fp ne -> Hashtbl.replace merged fp ne) t.fresh;
-      let entries =
-        Hashtbl.fold (fun fp (name, e) acc -> (fp, entry_to_json name e) :: acc) merged []
-      in
-      Vbase.Store.save ~dir:t.dir ~file:file_name ~schema:schema_version entries
-    end
+    else
+      try with_dir_lock t.dir write with
+      | Sys_error m -> Error m
+      | Unix.Unix_error (e, fn, _) -> Error (fn ^ ": " ^ Unix.error_message e)
   in
   Mutex.unlock t.lock;
   r

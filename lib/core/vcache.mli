@@ -131,7 +131,11 @@ val stats : t -> stats
 val flush : t -> (unit, string) result
 (** Merge fresh entries into the snapshot and atomically rewrite the
     store (also after corruption or dropped entries, repairing the file).
-    No-op when nothing changed.  I/O failures are reported, not raised. *)
+    No-op when nothing changed.  Flushes are serialized, within the process
+    and across processes (a [lockf] lock on [store.lock] in the cache
+    directory); a store another handle saved since {!open_} is re-read and
+    its entries kept, so overlapping writers lose nothing.  I/O failures
+    are reported, not raised. *)
 
 val clear : dir:string -> (unit, string) result
 (** Delete the store document (keeps the directory). *)

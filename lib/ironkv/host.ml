@@ -85,7 +85,6 @@ let cache_snapshot t = Hashtbl.fold (fun c e acc -> (c, e) :: acc) t.cache []
 let max_epoch t = t.max_epoch
 let is_dead t = t.dead
 let durable t = t.durable
-let outstanding_grants t = Hashtbl.length t.outstanding
 
 let log_op t o = match t.durable with Some d -> Durable.log_op d o | None -> ()
 let log_route t r = match t.durable with Some d -> Durable.log_route d r | None -> ()

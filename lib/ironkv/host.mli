@@ -87,10 +87,6 @@ val is_dead : t -> bool
 
 val durable : t -> Durable.t option
 
-val outstanding_grants : t -> int
-(** Grants this host issued whose destination has not yet durably
-    acknowledged them (still being retransmitted). *)
-
 val dump : t -> (int * string) list
 (** Contents of the local store (tests). *)
 

@@ -51,7 +51,6 @@ let register t =
   let n = Atomic.fetch_and_add t.next_reg 1 in
   { replica = n mod Array.length t.replicas }
 
-let replica_count t = Array.length t.replicas
 let tail_value t = Atomic.get t.tail
 
 let apply_op state = function

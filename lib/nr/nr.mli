@@ -37,5 +37,4 @@ val read_local : t -> handle -> int -> int option
 val sync : t -> handle -> unit
 (** Catch the handle's replica up to the current tail. *)
 
-val replica_count : t -> int
 val tail_value : t -> int

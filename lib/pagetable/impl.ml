@@ -9,7 +9,6 @@ let create ?(reclaim = true) mem =
   let root = Phys_mem.alloc_frame mem in
   { mem; root; reclaim; table_count = 1 }
 
-let root_frame t = t.root
 let table_frames t = t.table_count
 
 let canonical va = va >= 0 && va < 1 lsl 48 && va land 0xFFF = 0

@@ -11,7 +11,6 @@
 type t
 
 val create : ?reclaim:bool -> Phys_mem.t -> t
-val root_frame : t -> int
 
 val map4k : t -> va:int -> frame:int -> writable:bool -> (unit, string) result
 (** Fails if already mapped or va is out of canonical range. *)

@@ -45,5 +45,3 @@ let read_word t pa =
 let write_word t pa v =
   let a, off = locate t pa in
   a.(off) <- v
-
-let allocated_frames t = Hashtbl.length t.frames

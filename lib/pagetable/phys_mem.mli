@@ -29,5 +29,3 @@ val read_word : t -> int -> int64
     allocated frame. *)
 
 val write_word : t -> int -> int64 -> unit
-
-val allocated_frames : t -> int

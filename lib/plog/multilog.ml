@@ -118,7 +118,6 @@ let append_all t payloads =
   end
 
 let tails t = Array.to_list t.tails
-let log_count t = t.logs
 let log_len t = t.log_len
 
 let free_space t log =

@@ -22,7 +22,6 @@ val append_all : t -> string list -> (unit, string) result
 val tails : t -> int list
 (** Current committed tail of each log. *)
 
-val log_count : t -> int
 val log_len : t -> int
 (** Geometry, for callers (e.g. the IronKV durable layer's group commit)
     that must size batches against the remaining room. *)

@@ -73,8 +73,6 @@ let set_flush_budget t n =
   if n < 0 then invalid_arg "Pmem.set_flush_budget";
   t.flush_budget <- Some n
 
-let clear_flush_budget t = t.flush_budget <- None
-
 let crash t =
   t.flush_budget <- None;
   Bytes.blit t.persistent 0 t.volatile 0 (Bytes.length t.persistent)

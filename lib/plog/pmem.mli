@@ -33,9 +33,6 @@ val set_flush_budget : t -> int -> unit
     {!crash} then reveals whatever prefix of the write sequence made it —
     the adversary for atomic-commit protocols. *)
 
-val clear_flush_budget : t -> unit
-(** Turn fault injection back off (flushes persist again). *)
-
 val power_failed : t -> bool
 (** [true] once the simulated power has failed — a torn write fired or a
     flush budget ran out — so no further flush can land.  Durable layers

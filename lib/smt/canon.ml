@@ -183,8 +183,3 @@ let add_string s x =
   Buffer.add_char s.buf '\n'
 
 let contents s = Buffer.contents s.buf
-
-let term_to_string t =
-  let s = create () in
-  emit s t;
-  contents s

@@ -45,7 +45,3 @@ val add_string : serializer -> string -> unit
 
 val contents : serializer -> string
 (** The accumulated canonical payload. *)
-
-val term_to_string : Term.t -> string
-(** One-shot canonical rendering of a single term (its own renaming
-    table); for tests and debugging. *)

@@ -49,15 +49,13 @@ let bucket tbl key =
     Hashtbl.add tbl key r;
     r
 
-let is_ground t = Term.free_bvars t = []
-
 let add_ground t tm =
   Term.fold_subterms
     (fun () s ->
       if not (Hashtbl.mem t.indexed s.Term.tid) then begin
         match s.Term.node with
         | Term.Forall _ | Term.Exists _ -> ()
-        | Term.App (f, args) when is_ground s ->
+        | Term.App (f, args) when Term.is_ground s ->
           Hashtbl.add t.indexed s.Term.tid ();
           if args <> [] then begin
             let b = bucket t.by_head f.Term.sid in
@@ -67,7 +65,7 @@ let add_ground t tm =
             let b = bucket t.by_sort s.Term.sort in
             b := s :: !b
           end
-        | Term.Int_lit _ when is_ground s ->
+        | Term.Int_lit _ when Term.is_ground s ->
           Hashtbl.add t.indexed s.Term.tid ();
           let b = bucket t.by_sort s.Term.sort in
           b := s :: !b
@@ -145,7 +143,7 @@ let rec pmatch t ~euf subst (pat : Term.t) (cand : Term.t) =
     | Some bound -> if equal_mod euf bound cand then Some subst else None
     | None -> if Sort.equal s cand.Term.sort then Some ((x, cand) :: subst) else None)
   | _ ->
-    if Term.free_bvars pat = [] then
+    if Term.is_ground pat then
       if equal_mod euf pat cand then Some subst else None
     else
       (* Try a structural match against each member of the candidate's

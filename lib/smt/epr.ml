@@ -1,41 +1,5 @@
-(* EPR: fragment check, skolemization, sort-graph acyclicity, finite
-   grounding. *)
-
-(* ------------------------------------------------------------------ *)
-(* Skolemization (local copy: positive-polarity NNF with skolem
-   functions over the enclosing universals)                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec nnf pol env (t : Term.t) : Term.t =
-  match t.Term.node with
-  | Term.Not a -> nnf (not pol) env a
-  | Term.And xs ->
-    if pol then Term.and_ (List.map (nnf pol env) xs) else Term.or_ (List.map (nnf pol env) xs)
-  | Term.Or xs ->
-    if pol then Term.or_ (List.map (nnf pol env) xs) else Term.and_ (List.map (nnf pol env) xs)
-  | Term.Implies (a, b) ->
-    if pol then Term.or_ [ nnf false env a; nnf true env b ]
-    else Term.and_ [ nnf true env a; nnf false env b ]
-  | Term.Iff (a, b) -> nnf pol env (Term.and_ [ Term.implies a b; Term.implies b a ])
-  | Term.Ite (c, a, b) when Sort.equal t.Term.sort Sort.Bool ->
-    nnf pol env (Term.and_ [ Term.implies c a; Term.implies (Term.not_ c) b ])
-  | Term.Forall q ->
-    if pol then Term.forall q.Term.qvars (nnf true (env @ q.Term.qvars) q.Term.body)
-    else skolemize pol env q
-  | Term.Exists q ->
-    if pol then skolemize pol env q
-    else Term.forall q.Term.qvars (nnf false (env @ q.Term.qvars) q.Term.body)
-  | _ -> if pol then t else Term.not_ t
-
-and skolemize pol env (q : Term.quant) =
-  let args = List.map (fun (x, s) -> Term.bvar x s) env in
-  let arg_sorts = List.map snd env in
-  let bindings =
-    List.map
-      (fun (x, s) -> (x, Term.app (Term.Sym.fresh ("skE_" ^ x) arg_sorts s) args))
-      q.Term.qvars
-  in
-  nnf pol env (Term.subst bindings q.Term.body)
+(* EPR: fragment check, skolemization (the solver's {!Solver.nnf}),
+   sort-graph acyclicity, finite grounding. *)
 
 (* ------------------------------------------------------------------ *)
 (* Fragment check                                                      *)
@@ -124,13 +88,17 @@ let acyclic syms =
     Error ("sort dependency cycle through " ^ Sort.to_string sort_of.(v))
   | Some [] | None -> Ok ()
 
+(* Skolemized assertions that passed the fragment check. *)
+type fragment = Term.t list
+
 let check_fragment ts =
   match first_error check_term ts with
   | Error e -> Error e
   | Ok () ->
-    (* Check acyclicity on the skolemized form (skolem functions count). *)
-    let sk = List.map (nnf true []) ts in
-    acyclic (collect_syms sk)
+    (* Check acyclicity on the skolemized form (skolem functions count);
+       that form is what [solve] grounds. *)
+    let sk = List.map Solver.nnf ts in
+    Result.map (fun () -> sk) (acyclic (collect_syms sk))
 
 (* ------------------------------------------------------------------ *)
 (* Finite universe and grounding                                       *)
@@ -138,8 +106,11 @@ let check_fragment ts =
 
 exception Too_big
 
+(* Grounding gives up past this many Herbrand terms. *)
+let max_universe = 4000
+
 (* Compute, per uninterpreted sort, the closed Herbrand universe. *)
-let universe ~max_universe ts =
+let universe ts =
   let syms = collect_syms ts in
   let uni : (Sort.t, Term.t list ref) Hashtbl.t = Hashtbl.create 16 in
   let total = ref 0 in
@@ -231,34 +202,31 @@ let rec expand uni (t : Term.t) : Term.t =
   | Term.Not a -> Term.not_ (expand uni a)
   | _ -> t
 
-let solve ?config ?(max_universe = 4000) ts =
-  let fail reason =
-    {
-      Solver.answer = Solver.Unknown reason;
-      stats =
-        {
-          Solver.rounds = 0;
-          instances = 0;
-          matches_tried = 0;
-          conflicts = 0;
-          decisions = 0;
-          query_bytes = 0;
-          time_s = 0.0;
-        };
-      model = [];
-      profile = Profile.empty;
-      cert = None;
-    }
-  in
-  match check_fragment ts with
-  | Error e -> fail ("not in EPR: " ^ e)
-  | Ok () -> (
-    let sk = List.map (nnf true []) ts in
-    try
-      let uni = universe ~max_universe sk in
-      let ground = List.map (expand uni) sk in
-      Solver.solve ?config ground
-    with Too_big -> fail "EPR universe too large")
+(* A non-answer: the problem left the fragment or its universe is too big. *)
+let unknown reason =
+  {
+    Solver.answer = Solver.Unknown reason;
+    stats =
+      {
+        Solver.rounds = 0;
+        instances = 0;
+        matches_tried = 0;
+        conflicts = 0;
+        decisions = 0;
+        query_bytes = 0;
+        time_s = 0.0;
+      };
+    model = [];
+    profile = Profile.empty;
+    cert = None;
+  }
 
-let check_valid ?config ?max_universe ?(hyps = []) goal =
-  solve ?config ?max_universe (hyps @ [ Term.not_ goal ])
+let solve ?config sk =
+  match universe sk with
+  | uni -> Solver.solve ?config (List.map (expand uni) sk)
+  | exception Too_big -> unknown "EPR universe too large"
+
+let check_valid ?config ?(hyps = []) goal =
+  match check_fragment (hyps @ [ Term.not_ goal ]) with
+  | Error e -> unknown ("not in EPR: " ^ e)
+  | Ok sk -> solve ?config sk

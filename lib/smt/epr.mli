@@ -10,16 +10,20 @@
     finite, so full grounding plus the ground solver is a complete decision
     procedure: both [Unsat] and [Sat] answers are definitive. *)
 
-val check_fragment : Term.t list -> (unit, string) result
+type fragment
+(** Assertions that passed {!check_fragment}, skolemized by
+    {!Solver.nnf}. *)
+
+val check_fragment : Term.t list -> (fragment, string) result
 (** Syntactic membership: no arithmetic, no bit-vectors, only uninterpreted
-    sorts under quantifiers, and an acyclic sort graph.  The error string
-    names the offending construct. *)
+    sorts under quantifiers, and an acyclic sort graph.  Skolemizes the
+    assertions once and returns that form; the error string names the
+    offending construct. *)
 
-val solve : ?config:Solver.config -> ?max_universe:int -> Term.t list -> Solver.result
+val solve : ?config:Solver.config -> fragment -> Solver.result
 (** Decides satisfiability by grounding over the finite Herbrand universe.
-    Reports [Unknown] only if the fragment check fails or the universe/
-    grounding exceeds [max_universe] (default 4000) terms. *)
+    Reports [Unknown] only if the universe exceeds 4000 terms. *)
 
-val check_valid :
-  ?config:Solver.config -> ?max_universe:int -> ?hyps:Term.t list -> Term.t -> Solver.result
-(** [check_valid ~hyps goal]: refutation of [hyps /\ not goal], decided. *)
+val check_valid : ?config:Solver.config -> ?hyps:Term.t list -> Term.t -> Solver.result
+(** [check_valid ~hyps goal]: refutation of [hyps /\ not goal], decided;
+    [Unknown "not in EPR: ..."] outside the fragment. *)

@@ -25,7 +25,6 @@ type t = {
   rows : (int, (int, Rat.t) Hashtbl.t) Hashtbl.t; (* basic var -> row over nonbasics *)
   cols : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* nonbasic var -> rows that mention it *)
   var_by_term : (int, int) Hashtbl.t; (* term tid -> var *)
-  terms : Term.t option Vbase.Vecbuf.t; (* var -> originating term *)
   slack_by_key : ((int * Bigint.t) list, int) Hashtbl.t; (* canonical lin form -> slack var *)
   slack_form : (int, (int * Bigint.t) list) Hashtbl.t; (* inverse of slack_by_key *)
   mutable conflict : int list option; (* detected during assertion *)
@@ -48,7 +47,6 @@ let create () =
     rows = Hashtbl.create 32;
     cols = Hashtbl.create 32;
     var_by_term = Hashtbl.create 32;
-    terms = Vbase.Vecbuf.create ~dummy:None;
     slack_by_key = Hashtbl.create 32;
     slack_form = Hashtbl.create 32;
     conflict = None;
@@ -106,7 +104,7 @@ let ensure_capacity t n =
     t.is_basic <- grow t.is_basic false
   end
 
-let new_var t term =
+let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   ensure_capacity t t.nvars;
@@ -114,18 +112,15 @@ let new_var t term =
   t.upper.(v) <- None;
   t.beta.(v) <- Rat.zero;
   t.is_basic.(v) <- false;
-  Vbase.Vecbuf.push t.terms term;
   v
 
 let var_of_term t tm =
   match Hashtbl.find_opt t.var_by_term (Term.hash tm) with
   | Some v -> v
   | None ->
-    let v = new_var t (Some tm) in
+    let v = new_var t in
     Hashtbl.add t.var_by_term (Term.hash tm) v;
     v
-
-let term_of_var t v = Vbase.Vecbuf.get t.terms v
 
 let find_var t tm = Hashtbl.find_opt t.var_by_term (Term.hash tm)
 
@@ -336,7 +331,7 @@ let form_var t ints =
     (match Hashtbl.find_opt t.slack_by_key key with
     | Some s -> s
     | None ->
-      let s = new_var t None in
+      let s = new_var t in
       Hashtbl.add t.slack_by_key key s;
       Hashtbl.add t.slack_form s key;
       let row = Hashtbl.create 8 in
@@ -371,60 +366,37 @@ type prepared =
   | P_up of int * Rat.t
   | P_lo of int * Rat.t
 
-(* The <=-form bound of a constant constraint [0 <= c] (upper) or
-   [0 >= c] (lower), tightened for integrality under strictness. *)
-let tighten_const ~strict ~is_upper c =
-  let b = if is_upper then c else Rat.neg c in
-  if strict && Rat.is_integer c then Rat.sub b Rat.one else b
+(* The integer tightening of [sum coeffs <= c] (upper) or [>= c] (lower):
+   the canonical integer coefficients, whether the canonical form is
+   bounded above, and its bound rounded inward (one step further when the
+   constraint is strict and the bound integral).  A constant constraint
+   comes back as the upper form [0 <= b] with no coefficients. *)
+let tighten coeffs c ~strict ~is_upper =
+  match normalize_coeffs coeffs with
+  | [] ->
+    let b = if is_upper then c else Rat.neg c in
+    ([], true, if strict && Rat.is_integer c then Rat.sub b Rat.one else b)
+  | coeffs ->
+    let ints, scale, flipped = canonicalize coeffs in
+    let k = Rat.mul c scale in
+    let step = strict && Rat.is_integer k in
+    if is_upper <> flipped then
+      (ints, true, if step then Rat.sub k Rat.one else Rat.of_bigint (Rat.floor k))
+    else (ints, false, if step then Rat.add k Rat.one else Rat.of_bigint (Rat.ceil k))
 
 let prepare t coeffs c ~strict ~is_upper : prepared =
-  let coeffs = normalize_coeffs coeffs in
-  match coeffs with
-  | [] -> P_const (tighten_const ~strict ~is_upper c)
-  | _ ->
-    let ints, scale, flipped = canonicalize coeffs in
-    let s = form_var t ints in
-    let bound_val = Rat.mul c scale in
-    let is_upper = if flipped then not is_upper else is_upper in
-    if is_upper then begin
-      let b =
-        if strict && Rat.is_integer bound_val then Rat.sub bound_val Rat.one
-        else Rat.of_bigint (Rat.floor bound_val)
-      in
-      P_up (s, b)
-    end
-    else begin
-      let b =
-        if strict && Rat.is_integer bound_val then Rat.add bound_val Rat.one
-        else Rat.of_bigint (Rat.ceil bound_val)
-      in
-      P_lo (s, b)
-    end
+  match tighten coeffs c ~strict ~is_upper with
+  | [], _, b -> P_const b
+  | ints, true, b -> P_up (form_var t ints, b)
+  | ints, false, b -> P_lo (form_var t ints, b)
 
-(* The <=-form view of a constraint, for certificate emission: the
-   canonical integer coefficient vector over term variables and the
-   integer-tightened bound, exactly as {!prepare} would bound it, but
-   without touching the tableau.  [(coeffs, b)] means [coeffs . x <= b]. *)
+(* The <=-form view of a constraint, for certificate emission: the bound
+   {!prepare} asserts, over term variables and without touching the
+   tableau.  [(coeffs, b)] means [coeffs . x <= b]. *)
 let atom_view coeffs c ~strict ~is_upper =
-  let coeffs = normalize_coeffs coeffs in
-  match coeffs with
-  | [] -> ([], tighten_const ~strict ~is_upper c)
-  | _ ->
-    let ints, scale, flipped = canonicalize coeffs in
-    let bound_val = Rat.mul c scale in
-    let is_upper = if flipped then not is_upper else is_upper in
-    if is_upper then
-      let b =
-        if strict && Rat.is_integer bound_val then Rat.sub bound_val Rat.one
-        else Rat.of_bigint (Rat.floor bound_val)
-      in
-      (ints, b)
-    else
-      let b =
-        if strict && Rat.is_integer bound_val then Rat.add bound_val Rat.one
-        else Rat.of_bigint (Rat.ceil bound_val)
-      in
-      (List.map (fun (v, x) -> (v, Bigint.neg x)) ints, Rat.neg b)
+  match tighten coeffs c ~strict ~is_upper with
+  | ints, true, b -> (ints, b)
+  | ints, false, b -> (List.map (fun (v, x) -> (v, Bigint.neg x)) ints, Rat.neg b)
 
 let assert_prepared t (p : prepared) ~reason =
   if t.conflict = None then begin
@@ -438,47 +410,6 @@ let assert_prepared t (p : prepared) ~reason =
     | P_lo (s, b) -> assert_lower t s b reason
   end
 
-(* Assert (sum coeffs) <= c  (strict converts to <= c-1 after scaling). *)
-let assert_general t coeffs c ~strict ~is_upper ~reason =
-  if t.conflict = None then begin
-    let coeffs = normalize_coeffs coeffs in
-    match coeffs with
-    | [] ->
-      (* Constant constraint. *)
-      let b = tighten_const ~strict ~is_upper c in
-      if Rat.sign b < 0 then begin
-        set_cert t [ { ce_reason = reason; ce_lambda = Rat.one; ce_coeffs = []; ce_bound = b } ];
-        t.conflict <- Some [ reason ]
-      end
-    | _ ->
-      let ints, scale, flipped = canonicalize coeffs in
-      let s = form_var t ints in
-      (* Original: form/scale <= c  i.e. form <= c*scale (if scale > 0). *)
-      let bound_val = Rat.mul c scale in
-      let is_upper = if flipped then not is_upper else is_upper in
-      if is_upper then begin
-        (* form <= bound_val; integrality: form <= floor(bound_val), strict
-           subtracts one when the bound is integral. *)
-        let b =
-          if strict && Rat.is_integer bound_val then Rat.sub bound_val Rat.one
-          else Rat.of_bigint (Rat.floor bound_val)
-        in
-        assert_upper t s b reason
-      end
-      else begin
-        let b =
-          if strict && Rat.is_integer bound_val then Rat.add bound_val Rat.one
-          else Rat.of_bigint (Rat.ceil bound_val)
-        in
-        assert_lower t s b reason
-      end
-  end
-
-let assert_le t coeffs c ~reason = assert_general t coeffs c ~strict:false ~is_upper:true ~reason
-let assert_lt t coeffs c ~reason = assert_general t coeffs c ~strict:true ~is_upper:true ~reason
-let assert_ge t coeffs c ~reason = assert_general t coeffs c ~strict:false ~is_upper:false ~reason
-let assert_gt t coeffs c ~reason = assert_general t coeffs c ~strict:true ~is_upper:false ~reason
-
 let record_equation t coeffs c ~reason =
   (* For the elimination-based integrality check (catches parity/gcd
      conflicts that branch-and-bound cannot terminate on). *)
@@ -489,11 +420,6 @@ let record_equation t coeffs c ~reason =
     let rhs = Rat.mul c scale in
     if Rat.is_integer rhs then
       t.equations <- (ints, (rhs : Rat.t).Rat.num, reason) :: t.equations
-
-let assert_eq t coeffs c ~reason =
-  assert_le t coeffs c ~reason;
-  assert_ge t coeffs c ~reason;
-  if t.conflict = None then record_equation t coeffs c ~reason
 
 (* Omega-style integer equality elimination: repeatedly solve equations
    with a unit coefficient and substitute; detect gcd conflicts.  Sound

@@ -31,29 +31,16 @@ val var_of_term : t -> Term.t -> int
 (** The solver variable for an opaque integer term (registering it if
     new). *)
 
-val assert_le : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** [assert_le t coeffs c ~reason] asserts [sum coeffs <= c]. *)
-
-val assert_lt : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** Strict variant of {!assert_le}: [sum coeffs < c]. *)
-
-val assert_ge : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** [assert_ge t coeffs c ~reason] asserts [sum coeffs >= c]. *)
-
-val assert_gt : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** Strict variant of {!assert_ge}: [sum coeffs > c]. *)
-
-val assert_eq : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** Asserts [sum coeffs = c] (both bounds at once). *)
-
-(** Prepared (pre-canonicalized) constraints, for callers that re-assert
-    the same atoms across many checks. *)
+(** A constraint reduced to one integer-tightened bound on a (possibly
+    slack) variable.  Preparing is the costly part of asserting, so callers
+    that re-assert the same atoms across many checks keep the result. *)
 type prepared
 
 val prepare :
   t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> strict:bool -> is_upper:bool -> prepared
-(** [prepare t coeffs c ~strict ~is_upper]: the bound for
-    [sum coeffs <= c] (upper) or [>= c] (lower). *)
+(** [prepare t coeffs c ~strict ~is_upper]: the bound for [sum coeffs <= c]
+    (upper) or [>= c] (lower), strict when [strict].  Registers the slack
+    variable of the constraint's canonical form. *)
 
 val assert_prepared : t -> prepared -> reason:int -> unit
 (** Asserts a previously {!prepare}d bound under the given reason tag. *)
@@ -70,9 +57,6 @@ val check : ?max_branch:int -> t -> verdict
 
 val model_value : t -> int -> Vbase.Rat.t
 (** Value of a variable in the model found by the last [Sat] check. *)
-
-val term_of_var : t -> int -> Term.t option
-(** Inverse of {!var_of_term} (slack variables have no term). *)
 
 val find_var : t -> Term.t -> int option
 (** Like {!var_of_term} but without registering new variables. *)
@@ -108,7 +92,7 @@ val atom_view :
   is_upper:bool ->
   (int * Vbase.Bigint.t) list * Vbase.Rat.t
 (** The [<=]-form view ([coeffs . x <= bound], canonical integer
-    coefficients, integer-tightened bound) of the constraint
-    [sum coeffs <= c] (upper) or [>= c] (lower); pure — does not register
-    slack variables.  Used to certify trichotomy lemmas. *)
+    coefficients) of the bound {!prepare} asserts for the same arguments;
+    pure — does not register slack variables.  Used to certify trichotomy
+    lemmas. *)
 

@@ -41,7 +41,6 @@ type t = {
   mutable unsat : bool;
   mutable conflicts : int;
   mutable decisions : int;
-  mutable propagations : int;
   seen : bool array ref; (* scratch for conflict analysis *)
   mutable proof : proof option; (* clause-derivation logging; off by default *)
   mutable last_input_step : int; (* input step of the last added clause, -1 *)
@@ -68,7 +67,6 @@ let create () =
     unsat = false;
     conflicts = 0;
     decisions = 0;
-    propagations = 0;
     seen = ref (Array.make 16 false);
     proof = None;
     last_input_step = -1;
@@ -88,7 +86,6 @@ let enable_proof s =
         tag = 0;
       }
 
-let proof_enabled s = s.proof <> None
 let set_input_tag s tag = match s.proof with None -> () | Some p -> p.tag <- tag
 
 let proof_steps s =
@@ -116,8 +113,6 @@ let lit_negate l = l lxor 1
 let lit_value s l =
   let v = s.assign.(lit_var l) in
   if l land 1 = 1 then -v else v
-
-let n_vars s = s.nvars
 
 let ensure_capacity s n =
   let cap = Array.length s.assign in
@@ -255,7 +250,6 @@ let propagate s =
   while !conflict < 0 && s.qhead < Vbase.Vecbuf.length s.trail do
     let l = Vbase.Vecbuf.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
-    s.propagations <- s.propagations + 1;
     let falsified = lit_negate l in
     let ws = s.watches.(falsified) in
     let n = Vbase.Vecbuf.length ws in
@@ -566,4 +560,3 @@ let solve ?(limit_conflicts = max_int) s =
 let value s v = s.assign.(v) > 0
 let stats_conflicts s = s.conflicts
 let stats_decisions s = s.decisions
-let stats_propagations s = s.propagations

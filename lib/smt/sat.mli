@@ -19,9 +19,6 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocates a fresh variable, returns its index. *)
 
-val n_vars : t -> int
-(** Number of variables allocated so far. *)
-
 val pos : int -> int
 (** Positive literal of a variable. *)
 
@@ -73,8 +70,6 @@ val enable_proof : t -> unit
 (** Turns on logging.  Raises [Invalid_argument] if the solver already has
     variables or clauses. *)
 
-val proof_enabled : t -> bool
-
 val set_input_tag : t -> int -> unit
 (** Tag recorded on subsequent input steps; the SMT layer uses it to
     classify trusted encoding clauses (Tseitin vs. instantiation vs.
@@ -98,6 +93,3 @@ val stats_conflicts : t -> int
 
 val stats_decisions : t -> int
 (** Total branching decisions made over the solver's lifetime. *)
-
-val stats_propagations : t -> int
-(** Total unit propagations performed over the solver's lifetime. *)

@@ -206,8 +206,6 @@ let is_composite_int (t : Term.t) =
     true
   | _ -> false
 
-let is_ground t = Term.free_bvars t = []
-
 (* Rewrites a term bottom-up; [emit] receives side assertions (already in
    purified form). *)
 let rec purify st ~emit (t : Term.t) : Term.t =
@@ -221,7 +219,7 @@ let rec purify st ~emit (t : Term.t) : Term.t =
   | Term.Ite (c, a, b)
     when (not (Sort.equal t.Term.sort Sort.Bool))
          && (match t.Term.sort with Sort.Bv _ -> false | _ -> true)
-         && is_ground t -> (
+         && Term.is_ground t -> (
     match Hashtbl.find_opt st.ite_of t.Term.tid with
     | Some k -> k
     | None ->
@@ -234,7 +232,7 @@ let rec purify st ~emit (t : Term.t) : Term.t =
   | Term.Idiv (a, b) | Term.Imod (a, b) -> (
     let is_div = match t.Term.node with Term.Idiv _ -> true | _ -> false in
     match b.Term.node with
-    | Term.Int_lit v when (not (Bigint.is_zero v)) && is_ground a -> (
+    | Term.Int_lit v when (not (Bigint.is_zero v)) && Term.is_ground a -> (
       let q, r =
         match Hashtbl.find_opt st.divmod_of (Term.hash (Term.idiv a b)) with
         | Some qr -> qr
@@ -258,7 +256,7 @@ let rec purify st ~emit (t : Term.t) : Term.t =
     let args =
       List.map
         (fun (a : Term.t) ->
-          if is_composite_int a && is_ground a then begin
+          if is_composite_int a && Term.is_ground a then begin
             match Hashtbl.find_opt st.proxy_of a.Term.tid with
             | Some p -> p
             | None ->
@@ -300,33 +298,33 @@ and rebuild_children st ~emit t =
 (* ------------------------------------------------------------------ *)
 
 (* [env] holds enclosing universal variables (for skolem arguments). *)
-let rec nnf pol (env : (string * Sort.t) list) (t : Term.t) : Term.t =
+let rec nnf_pol pol (env : (string * Sort.t) list) (t : Term.t) : Term.t =
   match t.Term.node with
-  | Term.Not a -> nnf (not pol) env a
+  | Term.Not a -> nnf_pol (not pol) env a
   | Term.And xs ->
-    if pol then Term.and_ (List.map (nnf pol env) xs)
-    else Term.or_ (List.map (nnf pol env) xs)
+    if pol then Term.and_ (List.map (nnf_pol pol env) xs)
+    else Term.or_ (List.map (nnf_pol pol env) xs)
   | Term.Or xs ->
-    if pol then Term.or_ (List.map (nnf pol env) xs)
-    else Term.and_ (List.map (nnf pol env) xs)
+    if pol then Term.or_ (List.map (nnf_pol pol env) xs)
+    else Term.and_ (List.map (nnf_pol pol env) xs)
   | Term.Implies (a, b) ->
-    if pol then Term.or_ [ nnf false env a; nnf true env b ]
-    else Term.and_ [ nnf true env a; nnf false env b ]
+    if pol then Term.or_ [ nnf_pol false env a; nnf_pol true env b ]
+    else Term.and_ [ nnf_pol true env a; nnf_pol false env b ]
   | Term.Iff (a, b) ->
     (* (a -> b) /\ (b -> a), then by polarity. *)
-    nnf pol env (Term.and_ [ Term.implies a b; Term.implies b a ])
+    nnf_pol pol env (Term.and_ [ Term.implies a b; Term.implies b a ])
   | Term.Ite (c, a, b) when Sort.equal t.Term.sort Sort.Bool ->
-    nnf pol env (Term.and_ [ Term.implies c a; Term.implies (Term.not_ c) b ])
+    nnf_pol pol env (Term.and_ [ Term.implies c a; Term.implies (Term.not_ c) b ])
   | Term.Forall q ->
     if pol then
       let env' = env @ q.Term.qvars in
-      Term.forall ~triggers:q.Term.triggers q.Term.qvars (nnf true env' q.Term.body)
+      Term.forall ~triggers:q.Term.triggers q.Term.qvars (nnf_pol true env' q.Term.body)
     else skolemize pol env q
   | Term.Exists q ->
     if pol then skolemize pol env q
     else
       let env' = env @ q.Term.qvars in
-      Term.forall q.Term.qvars (nnf false env' q.Term.body)
+      Term.forall q.Term.qvars (nnf_pol false env' q.Term.body)
   | _ -> if pol then t else Term.not_ t
 
 and skolemize pol env (q : Term.quant) =
@@ -341,7 +339,9 @@ and skolemize pol env (q : Term.quant) =
         (x, Term.app f args))
       q.Term.qvars
   in
-  nnf pol env (Term.subst bindings q.Term.body)
+  nnf_pol pol env (Term.subst bindings q.Term.body)
+
+let nnf t = nnf_pol true [] t
 
 (* ------------------------------------------------------------------ *)
 (* Tseitin encoding                                                    *)
@@ -430,14 +430,9 @@ let assert_formula st ~guard (t : Term.t) =
   st.query_bytes <- st.query_bytes + Term.printed_size t;
   let side = ref [] in
   let t = purify st ~emit:(fun a -> side := a :: !side) t in
-  let t = nnf true [] t in
-  assert_nnf st ~guard t;
+  assert_nnf st ~guard (nnf t);
   (* Side conditions (purification definitions) are unconditional. *)
-  List.iter
-    (fun a ->
-      let a = nnf true [] a in
-      assert_nnf st ~guard:None a)
-    !side
+  List.iter (fun a -> assert_nnf st ~guard:None (nnf a)) !side
 
 (* ------------------------------------------------------------------ *)
 (* Theory final check                                                  *)
@@ -486,27 +481,23 @@ let final_check st =
     List.rev_map (fun v -> (v, Hashtbl.find st.atom_of_var v, Sat.value st.sat v)) st.atom_vars
   in
   let assigned = Array.of_list assigned in
+  (* The literal under which assigned atom [i] holds. *)
+  let assigned_lit i =
+    let v, _, value = assigned.(i) in
+    if value then Sat.pos v else Sat.neg v
+  in
+  (* The clause refuting a reason set (indices into [assigned]; internal
+     reasons are negative and drop out). *)
   let blocking core =
-    (* Build a blocking clause from reason indices into [assigned]. *)
-    let lits =
-      List.filter_map
-        (fun i ->
-          if i < 0 then None
-          else begin
-            let v, _, value = assigned.(i) in
-            Some (if value then Sat.neg v else Sat.pos v)
-          end)
-        core
-    in
-    Sat.add_clause st.sat lits
+    List.filter_map (fun i -> if i < 0 then None else Some (Sat.lit_negate (assigned_lit i))) core
   in
   (* Certificate bookkeeping.  [euf_assumption] records the theory meaning
      of an assigned atom's literal in the certificate's atom table and
      returns the literal; [None] if the atom is outside the certified EUF
      fragment (the justification then degrades to a trusted step). *)
   let euf_assumption bd i =
-    let v, atom, value = assigned.(i) in
-    let lit = if value then Sat.pos v else Sat.neg v in
+    let _, atom, value = assigned.(i) in
+    let lit = assigned_lit i in
     match atom.Term.node with
     | Term.Eq (x, y) when not (is_bv_atom atom) ->
       Cert.lit_eq bd lit (value, Cert.intern_term bd x, Cert.intern_term bd y);
@@ -568,7 +559,7 @@ let final_check st =
   match euf_verdict with
   | Error core ->
     st.n_euf_conflicts <- st.n_euf_conflicts + 1;
-    blocking core;
+    Sat.add_clause st.sat (blocking core);
     justify st (fun () -> euf_just (Option.get st.cert) core);
     R_continue
   | Ok () -> (
@@ -586,68 +577,66 @@ let final_check st =
         Hashtbl.replace st.lin_cache key r;
         r
     in
-    (* Trichotomy justification for [l_eq \/ l_lt1 \/ l_lt2]: the equality
-       pins [cs . x] to exactly [bound], and the negated strict
-       inequalities are the two non-strict bounds.  Register both <=-form
-       views so the kernel can match the (f, d) / (-f, -d) pair. *)
-    let trichotomy_just bd ~l_eq ~l_lt1 ~l_lt2 cs bound =
-      let v_up = Lia.atom_view cs bound ~strict:false ~is_upper:true in
-      let v_lo = Lia.atom_view cs bound ~strict:false ~is_upper:false in
-      let add lit (c, b) = ignore (Cert.lit_view bd lit c b) in
-      add l_eq v_up;
-      add l_eq v_lo;
-      add (Sat.lit_negate l_lt1) v_lo;
-      add (Sat.lit_negate l_lt2) v_up;
-      Cert.J_trichotomy (l_eq, l_lt1, l_lt2)
+    (* Assert the bounds of atom [i] ([a - b] against zero), prepared by
+       [make cs bound] over its linear form [cs . x <= bound] (or [>=]) on
+       first sight and cached per polarity. *)
+    let assert_bounds i (atom : Term.t) a b value make =
+      let ps =
+        match Hashtbl.find_opt st.prep_cache (atom.Term.tid, value) with
+        | Some ps -> ps
+        | None ->
+          let cs, k = linearize_cached a b atom.Term.tid in
+          let ps = make (to_lia_coeffs cs) (Rat.neg k) in
+          Hashtbl.replace st.prep_cache (atom.Term.tid, value) ps;
+          ps
+      in
+      List.iter (fun p -> Lia.assert_prepared lia p ~reason:i) ps
+    in
+    (* The trichotomy lemma [x = y \/ x < y \/ y < x] over [eq_atom]
+       ([x = y]).  Its certificate: the equality pins [cs . x] to exactly
+       [bound], and the negated strict inequalities are the two non-strict
+       bounds; both <=-form views are registered so the kernel can match
+       the (f, d) / (-f, -d) pair. *)
+    let trichotomy (eq_atom : Term.t) x y =
+      let l_eq = formula_lit st eq_atom in
+      let l_lt1 = formula_lit st (Term.lt x y) in
+      let l_lt2 = formula_lit st (Term.lt y x) in
+      Hashtbl.replace st.eq_split_done eq_atom.Term.tid ();
+      Sat.add_clause st.sat [ l_eq; l_lt1; l_lt2 ];
+      justify st (fun () ->
+          let bd = Option.get st.cert in
+          let cs, k = linearize_cached x y eq_atom.Term.tid in
+          let bound = Rat.neg k and cs = to_lia_coeffs cs in
+          let v_up = Lia.atom_view cs bound ~strict:false ~is_upper:true in
+          let v_lo = Lia.atom_view cs bound ~strict:false ~is_upper:false in
+          let add lit (c, b) = ignore (Cert.lit_view bd lit c b) in
+          add l_eq v_up;
+          add l_eq v_lo;
+          add (Sat.lit_negate l_lt1) v_lo;
+          add (Sat.lit_negate l_lt2) v_up;
+          Cert.J_trichotomy (l_eq, l_lt1, l_lt2))
     in
     Array.iteri
-      (fun i (v, atom, value) ->
-        ignore v;
+      (fun i (_, atom, value) ->
         match atom.Term.node with
-        | Term.Le (a, b) | Term.Lt (a, b) -> (
-          match Hashtbl.find_opt st.prep_cache (atom.Term.tid, value) with
-          | Some ps -> List.iter (fun p -> Lia.assert_prepared lia p ~reason:i) ps
-          | None ->
-            let cs, k = linearize_cached a b atom.Term.tid in
-            let cs = to_lia_coeffs cs in
-            let bound = Rat.neg k in
-            let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
-            (* value true: sum <= bound (or <); false: negation. *)
-            let p =
-              if value then Lia.prepare lia cs bound ~strict ~is_upper:true
-              else Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false
-            in
-            Hashtbl.replace st.prep_cache (atom.Term.tid, value) [ p ];
-            Lia.assert_prepared lia p ~reason:i)
+        | Term.Le (a, b) | Term.Lt (a, b) ->
+          let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
+          (* value true: sum <= bound (or <); false: negation. *)
+          assert_bounds i atom a b value (fun cs bound ->
+              if value then [ Lia.prepare lia cs bound ~strict ~is_upper:true ]
+              else [ Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false ])
         | Term.Eq (a, b) when Sort.equal a.Term.sort Sort.Int ->
           if value then begin
-            match Hashtbl.find_opt st.prep_cache (atom.Term.tid, true) with
-            | Some ps ->
-              List.iter (fun p -> Lia.assert_prepared lia p ~reason:i) ps;
-              let cs, k = linearize_cached a b atom.Term.tid in
-              Lia.record_equation lia (to_lia_coeffs cs) (Rat.neg k) ~reason:i
-            | None ->
-              let cs, k = linearize_cached a b atom.Term.tid in
-              let cs = to_lia_coeffs cs in
-              let bound = Rat.neg k in
-              let p1 = Lia.prepare lia cs bound ~strict:false ~is_upper:true in
-              let p2 = Lia.prepare lia cs bound ~strict:false ~is_upper:false in
-              Hashtbl.replace st.prep_cache (atom.Term.tid, true) [ p1; p2 ];
-              Lia.assert_prepared lia p1 ~reason:i;
-              Lia.assert_prepared lia p2 ~reason:i;
-              Lia.record_equation lia cs bound ~reason:i
+            assert_bounds i atom a b true (fun cs bound ->
+                let p1 = Lia.prepare lia cs bound ~strict:false ~is_upper:true in
+                let p2 = Lia.prepare lia cs bound ~strict:false ~is_upper:false in
+                [ p1; p2 ]);
+            let cs, k = linearize_cached a b atom.Term.tid in
+            Lia.record_equation lia (to_lia_coeffs cs) (Rat.neg k) ~reason:i
           end
           else if not (Hashtbl.mem st.eq_split_done atom.Term.tid) then begin
             (* not (a = b)  ==>  a < b \/ b < a *)
-            Hashtbl.add st.eq_split_done atom.Term.tid ();
-            let l_eq = formula_lit st atom in
-            let l_lt1 = formula_lit st (Term.lt a b) in
-            let l_lt2 = formula_lit st (Term.lt b a) in
-            Sat.add_clause st.sat [ l_eq; l_lt1; l_lt2 ];
-            justify st (fun () ->
-                let bd = Option.get st.cert in
-                let cs, k = linearize_cached a b atom.Term.tid in
-                trichotomy_just bd ~l_eq ~l_lt1 ~l_lt2 (to_lia_coeffs cs) (Rat.neg k));
+            trichotomy atom a b;
             progress := true
           end
         | _ -> ())
@@ -665,7 +654,7 @@ let final_check st =
       match lia_verdict with
       | Lia.Conflict core ->
         st.n_lia_conflicts <- st.n_lia_conflicts + 1;
-        blocking core;
+        Sat.add_clause st.sat (blocking core);
         justify st (fun () ->
             let bd = Option.get st.cert in
             match Lia.last_cert lia with
@@ -673,8 +662,7 @@ let final_check st =
               Cert.J_farkas
                 (List.map
                    (fun (e : Lia.centry) ->
-                     let v, _, value = assigned.(e.Lia.ce_reason) in
-                     let lit = if value then Sat.pos v else Sat.neg v in
+                     let lit = assigned_lit e.Lia.ce_reason in
                      let ix = Cert.lit_view bd lit e.Lia.ce_coeffs e.Lia.ce_bound in
                      (lit, e.Lia.ce_lambda, ix))
                    entries)
@@ -711,20 +699,10 @@ let final_check st =
                     | Some vr, Some vm when not (Rat.equal vr vm) -> begin
                       (* explanation => rep = m *)
                       let expl = Euf.explain euf rep m in
-                      let clause =
-                        List.filter_map
-                          (fun i ->
-                            if i < 0 then None
-                            else begin
-                              let v, _, value = assigned.(i) in
-                              Some (if value then Sat.neg v else Sat.pos v)
-                            end)
-                          expl
-                      in
                       let l_eq = formula_lit st (Term.eq rep m) in
                       (* Only a real lemma if the equality atom is not
                          already forced true under this assignment. *)
-                      Sat.add_clause st.sat (l_eq :: clause);
+                      Sat.add_clause st.sat (l_eq :: blocking expl);
                       justify st (fun () ->
                           let bd = Option.get st.cert in
                           let head = Sat.lit_negate l_eq in
@@ -793,19 +771,9 @@ let final_check st =
                 | Some vx, Some vy when Rat.equal vx vy && not (Euf.are_equal euf x y) ->
                   Hashtbl.add st.comb_pairs_done key ();
                   decr budget;
-                  let eq_atom = Term.eq x y in
-                  let l_eq = formula_lit st eq_atom in
-                  let l1 = formula_lit st (Term.lt x y) in
-                  let l2 = formula_lit st (Term.lt y x) in
-                  (* This three-way clause subsumes the eq-split lemma;
-                     don't pay another round for it later. *)
-                  Hashtbl.replace st.eq_split_done eq_atom.Term.tid ();
-                  Sat.add_clause st.sat [ l_eq; l1; l2 ];
-                  justify st (fun () ->
-                      let bd = Option.get st.cert in
-                      let cs, k = linearize_cached x y eq_atom.Term.tid in
-                      trichotomy_just bd ~l_eq ~l_lt1:l1 ~l_lt2:l2 (to_lia_coeffs cs)
-                        (Rat.neg k));
+                  (* This three-way clause subsumes the eq-split lemma
+                     (marked done); don't pay another round for it later. *)
+                  trichotomy (Term.eq x y) x y;
                   st.n_theory_lemmas <- st.n_theory_lemmas + 1;
                   lemma_added := true
                 | _ -> ()

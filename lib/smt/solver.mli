@@ -102,6 +102,13 @@ type result = {
           [Vcheck] kernel *)
 }
 
+val nnf : Term.t -> Term.t
+(** Negation normal form with polarity-driven skolemization: existentials
+    in positive position (and universals in negative position) become
+    fresh skolem functions of the enclosing universals.  Every skolem is a
+    fresh symbol, so each call on a quantified term mints new ones.  The
+    solver runs it on every assertion; {!Epr} runs it once per problem. *)
+
 val solve : ?config:config -> Term.t list -> result
 (** Satisfiability of the conjunction of the assertions. *)
 

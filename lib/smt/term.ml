@@ -597,6 +597,8 @@ let free_bvars t =
   go [] t;
   List.rev !acc
 
+let is_ground t = free_bvars t = []
+
 let rebuild t node_children =
   (* Reconstruct t with new children (same order as [children t]). *)
   match (t.node, node_children) with
@@ -618,36 +620,21 @@ let rebuild t node_children =
   | Idiv _, [ a; b ] -> idiv a b
   | Imod _, [ a; b ] -> imod a b
   | Bv_op (o, _), xs -> bv_op o xs
-  | Forall q, body :: trigs ->
-    let triggers, _ =
-      List.fold_left
-        (fun (groups, rest) g ->
-          let n = List.length g in
-          let rec take k xs = if k = 0 then ([], xs) else
-              match xs with
-              | x :: tl -> let a, b = take (k - 1) tl in (x :: a, b)
-              | [] -> invalid_arg "rebuild"
-          in
-          let grp, rest = take n rest in
-          (groups @ [ grp ], rest))
-        ([], trigs) q.triggers
+  | (Forall q | Exists q), body :: trigs ->
+    (* Regroup the flat trigger terms into the binder's group shapes. *)
+    let rec take k xs =
+      if k = 0 then ([], xs)
+      else
+        match xs with
+        | x :: tl -> let a, b = take (k - 1) tl in (x :: a, b)
+        | [] -> invalid_arg "rebuild"
     in
-    forall ~triggers q.qvars body
-  | Exists q, body :: trigs ->
-    let triggers, _ =
-      List.fold_left
-        (fun (groups, rest) g ->
-          let n = List.length g in
-          let rec take k xs = if k = 0 then ([], xs) else
-              match xs with
-              | x :: tl -> let a, b = take (k - 1) tl in (x :: a, b)
-              | [] -> invalid_arg "rebuild"
-          in
-          let grp, rest = take n rest in
-          (groups @ [ grp ], rest))
-        ([], trigs) q.triggers
+    let _, triggers =
+      List.fold_left_map
+        (fun rest g -> let grp, rest = take (List.length g) rest in (rest, grp))
+        trigs q.triggers
     in
-    exists ~triggers q.qvars body
+    (match t.node with Forall _ -> forall | _ -> exists) ~triggers q.qvars body
   | _ -> invalid_arg "Term.rebuild: arity mismatch"
 
 let subst bindings t =

@@ -145,6 +145,9 @@ val subst : (string * t) list -> t -> t
 val free_bvars : t -> (string * Sort.t) list
 (** Bound variables occurring free in the term, each listed once. *)
 
+val is_ground : t -> bool
+(** No bound variable occurs free in the term. *)
+
 val size : t -> int
 (** Number of nodes counted with sharing (each distinct subterm once). *)
 

@@ -38,7 +38,6 @@ type t = {
   page_of : (int, page) Hashtbl.t; (* addr / page_size -> page *)
   global_lock : Mutex.t; (* segment carving + page table *)
   mutable cursor : (int * int) option; (* segment base, next offset *)
-  mutable pages_live : int;
 }
 
 let create ?(checked = true) ?(heaps = 4) os =
@@ -51,11 +50,7 @@ let create ?(checked = true) ?(heaps = 4) os =
     page_of = Hashtbl.create 256;
     global_lock = Mutex.create ();
     cursor = None;
-    pages_live = 0;
   }
-
-let heap_count t = Array.length t.heaps
-let pages_in_use t = t.pages_live
 
 (* --- checked-mode bitmap helpers ------------------------------------- *)
 
@@ -116,7 +111,6 @@ let carve_page t ~owner ~cls =
         for i = 0 to (bytes / page_size) - 1 do
           Hashtbl.replace t.page_of ((base / page_size) + i) p
         done;
-        t.pages_live <- t.pages_live + 1;
         Some p)
 
 let page_of_addr t addr =

@@ -41,8 +41,6 @@ val free : t -> heap:int -> int -> unit
 val usable_size : t -> int -> int
 (** Size class capacity of an allocated block. *)
 
-val heap_count : t -> int
-val pages_in_use : t -> int
 
 exception Heap_corruption of string
 (** Raised by [checked] allocators on protocol violations. *)

@@ -66,10 +66,6 @@ let locate t addr =
   | Some b -> (b, addr mod segment_size)
   | None -> invalid_arg (Printf.sprintf "Os_mem: access to unmapped address %#x" addr)
 
-let read_byte t addr =
-  let b, off = locate t addr in
-  Char.code (Bytes.get b off)
-
 let write_byte t addr v =
   let b, off = locate t addr in
   Bytes.set b off (Char.chr (v land 0xFF))

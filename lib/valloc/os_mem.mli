@@ -31,7 +31,6 @@ val oom_failures : t -> int
 val munmap : t -> int -> unit
 (** Base address must come from [mmap]; raises on double-unmap. *)
 
-val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 val blit_fill : t -> addr:int -> len:int -> byte:int -> unit
 val check_fill : t -> addr:int -> len:int -> byte:int -> bool

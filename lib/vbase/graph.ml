@@ -1,7 +1,6 @@
 type t = { n : int; adj : (int * int) list array }
 
 let create n = { n; adj = Array.make (max n 1) [] }
-let n_vertices g = g.n
 
 let add_edge g ?(w = 0) u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then

@@ -11,8 +11,6 @@ type t
 val create : int -> t
 (** [create n] is an empty graph on vertices [0..n-1]. *)
 
-val n_vertices : t -> int
-
 val add_edge : t -> ?w:int -> int -> int -> unit
 (** [add_edge g ~w u v] adds a directed edge [u -> v] with weight [w]
     (default [0]).  Parallel edges are kept; when several edges link the

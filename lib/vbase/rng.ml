@@ -35,7 +35,7 @@ let shuffle t arr =
    table, so a sampler is a pure function of (seed, s, n) — the skewed
    workload generators replay exactly. *)
 
-type zipf = { z_s : float; z_n : int; z_cdf : float array }
+type zipf = { z_n : int; z_cdf : float array }
 
 let zipf ~s ~n =
   if n <= 0 then invalid_arg "Rng.zipf: n <= 0";
@@ -51,10 +51,7 @@ let zipf ~s ~n =
     cdf.(i) <- cdf.(i) /. norm
   done;
   cdf.(n - 1) <- 1.0;
-  { z_s = s; z_n = n; z_cdf = cdf }
-
-let zipf_s z = z.z_s
-let zipf_n z = z.z_n
+  { z_n = n; z_cdf = cdf }
 
 (* Probability mass of rank [i] (from the table, so it reflects exactly
    what [zipf_draw] samples). *)

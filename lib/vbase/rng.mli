@@ -43,5 +43,3 @@ val zipf_pmf : zipf -> int -> float
 (** Probability mass of a rank, as actually sampled (monotone
     non-increasing in the rank by construction). *)
 
-val zipf_s : zipf -> float
-val zipf_n : zipf -> int

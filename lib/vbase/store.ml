@@ -66,26 +66,30 @@ let save ~dir ~file ~schema entries =
   let text = Json.to_string ~indent:true doc ^ "\n" in
   try
     mkdir_p dir;
-    let path = Filename.concat dir file in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
+    (* A temp name of its own per save: two writers sharing one would
+       rename each other's file away. *)
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir file ".tmp"
+    in
     (try
        output_string oc text;
        close_out oc
      with e ->
        close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
        raise e);
     (* rename(2): the update is atomic — readers see the old document or
        the new one, never a prefix. *)
-    Sys.rename tmp path;
+    Sys.rename tmp (Filename.concat dir file);
     Ok ()
   with Sys_error m -> Error m
 
 let wipe ~dir ~file =
-  let path = Filename.concat dir file in
   let rm p = if Sys.file_exists p then Sys.remove p in
+  let is_temp f = String.starts_with ~prefix:file f && Filename.check_suffix f ".tmp" in
   try
-    rm (path ^ ".tmp");
-    rm path;
+    if Sys.file_exists dir && Sys.is_directory dir then
+      Array.iter (fun f -> if is_temp f then rm (Filename.concat dir f)) (Sys.readdir dir);
+    rm (Filename.concat dir file);
     Ok ()
   with Sys_error m -> Error m

@@ -9,9 +9,11 @@
     v}
 
     Design constraints (they are the whole point):
-    - {b Atomic updates.}  {!save} writes to a temp file in the same
-      directory and [rename]s it over the target, so a crash mid-write
-      leaves either the old document or the new one, never a torn mix.
+    - {b Atomic updates.}  {!save} writes to a temp file of its own in
+      the same directory and [rename]s it over the target, so a crash
+      mid-write leaves either the old document or the new one, never a
+      torn mix, and two concurrent saves never share a temp file (the
+      last rename wins; callers that merge serialize their saves).
     - {b Corruption tolerance.}  {!load} never raises and never fails a
       caller: a missing file is an empty store; an unparseable file, a
       wrong or missing schema tag, or a malformed entries table degrade to
@@ -39,6 +41,9 @@ val save :
     (sorted by key; later bindings of a duplicated key win).  Creates
     [dir] — including missing ancestors — if needed.  I/O failures are
     reported as [Error], never raised. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing ancestors.  Raises [Sys_error]. *)
 
 val wipe : dir:string -> file:string -> (unit, string) result
 (** Remove the store file (and its temp leftovers) if present; the

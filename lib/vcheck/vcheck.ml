@@ -461,8 +461,3 @@ let check_string s =
   | Error e -> Rejected { code = "CK001"; reason = "JSON parse error: " ^ e }
   | Ok j -> check j
 
-let verdict_to_string = function
-  | Checked s ->
-    Printf.sprintf "checked (%d input, %d rup, %d euf, %d farkas, %d trichotomy, %d trusted)"
-      s.inputs s.rup s.euf s.farkas s.trichotomy s.trusted
-  | Rejected { code; reason } -> Printf.sprintf "rejected %s: %s" code reason

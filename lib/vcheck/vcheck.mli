@@ -68,6 +68,3 @@ val check : Vbase.Json.t -> verdict
 val check_string : string -> verdict
 (** Parse a JSON document and {!check} it ([CK001] on parse errors). *)
 
-val verdict_to_string : verdict -> string
-(** One-line rendering, e.g. ["checked (12 rup, 3 euf, ...)"] or
-    ["rejected CK002: ..."]. *)

@@ -31,8 +31,9 @@ val max_frame_bytes : int
 type error = { code : string; message : string }
 
 val error_codes : (string * string) list
-(** The stable code table ([RPC001]–[RPC007]), code to description —
-    what [docs/PROTOCOL.md]'s error-code section is generated against. *)
+(** The stable code table ([RPC001]–[RPC007]), code to description.
+    [docs/PROTOCOL.md]'s error-code table lists the same rows; the docs
+    gate ([smoke docs]) fails when the two differ. *)
 
 (** When a job request runs the static analyses. *)
 type lint_level = Lint_off | Lint_warn | Lint_strict

@@ -157,7 +157,6 @@ let top_int = Aint ({ lo = NegInf; hi = PosInf }, cong_top)
 let of_bigint c = Aint ({ lo = Fin c; hi = Fin c }, cong_const c)
 let of_int n = of_bigint (B.of_int n)
 let of_bool b = Abool (if b then Btrue else Bfalse)
-let of_bool3 b3 = Abool b3
 let range lo hi = mk_int { lo; hi } cong_top
 let range_i lo hi = range (Fin (B.of_int lo)) (Fin (B.of_int hi))
 

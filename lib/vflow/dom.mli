@@ -38,7 +38,6 @@ val top_int : t
 val of_bigint : B.t -> t
 val of_int : int -> t
 val of_bool : bool -> t
-val of_bool3 : bool3 -> t
 
 val range : bound -> bound -> t
 (** Interval with top congruence; [Bot] when empty. *)

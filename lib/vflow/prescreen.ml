@@ -407,7 +407,10 @@ let vacuous_hyps st ~hyps =
       | _ -> false)
     hyps
 
-let check ?(max_passes = 6) ~hyps ~goal () =
+(* Propagation passes before giving up on a fixpoint. *)
+let max_passes = 6
+
+let check ~hyps ~goal () =
   let st = fresh_state () in
   let passes = ref 0 in
   let continue_ = ref true in

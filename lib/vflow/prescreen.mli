@@ -35,9 +35,9 @@ type result = {
   passes : int;  (** propagation passes until fixpoint (or cap) *)
 }
 
-val check : ?max_passes:int -> hyps:Smt.Term.t list -> goal:Smt.Term.t -> unit -> result
-(** [max_passes] defaults to 6; each pass re-propagates every
-    hypothesis, so the abstract environment is a post-fixpoint when the
-    pass count comes in under the cap. *)
+val check : hyps:Smt.Term.t list -> goal:Smt.Term.t -> unit -> result
+(** Runs at most 6 passes; each pass re-propagates every hypothesis, so
+    the abstract environment is a post-fixpoint when the pass count comes
+    in under the cap. *)
 
 val verdict_string : verdict -> string

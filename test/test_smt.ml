@@ -378,14 +378,19 @@ let test_euf_direct () =
 module Lia = Smt.Lia
 module Rat = Vbase.Rat
 
+(* Assert [sum coeffs <= c] (upper) or [>= c] (lower) the way the solver
+   does: prepare the bound, then assert it under [reason]. *)
+let assert_bound l ?(strict = false) ~is_upper coeffs c ~reason =
+  Lia.assert_prepared l (Lia.prepare l coeffs c ~strict ~is_upper) ~reason
+
 let test_lia_direct () =
   let l = Lia.create () in
   let x = Lia.var_of_term l (ic "ldx") in
   let y = Lia.var_of_term l (ic "ldy") in
   (* x + y <= 4, x >= 3, y >= 2: conflict with all three reasons. *)
-  Lia.assert_le l [ (Rat.one, x); (Rat.one, y) ] (Rat.of_int 4) ~reason:0;
-  Lia.assert_ge l [ (Rat.one, x) ] (Rat.of_int 3) ~reason:1;
-  Lia.assert_ge l [ (Rat.one, y) ] (Rat.of_int 2) ~reason:2;
+  assert_bound l ~is_upper:true [ (Rat.one, x); (Rat.one, y) ] (Rat.of_int 4) ~reason:0;
+  assert_bound l ~is_upper:false [ (Rat.one, x) ] (Rat.of_int 3) ~reason:1;
+  assert_bound l ~is_upper:false [ (Rat.one, y) ] (Rat.of_int 2) ~reason:2;
   (match Lia.check l with
   | Lia.Conflict core -> Alcotest.(check (list int)) "farkas core" [ 0; 1; 2 ] (List.sort compare core)
   | _ -> Alcotest.fail "expected conflict");
@@ -393,9 +398,9 @@ let test_lia_direct () =
   let l2 = Lia.create () in
   let x = Lia.var_of_term l2 (ic "ld2x") in
   let y = Lia.var_of_term l2 (ic "ld2y") in
-  Lia.assert_ge l2 [ (Rat.one, x) ] (Rat.of_int 1) ~reason:0;
-  Lia.assert_le l2 [ (Rat.of_int 2, x); (Rat.of_int 3, y) ] (Rat.of_int 12) ~reason:1;
-  Lia.assert_ge l2 [ (Rat.one, y) ] (Rat.of_int 2) ~reason:2;
+  assert_bound l2 ~is_upper:false [ (Rat.one, x) ] (Rat.of_int 1) ~reason:0;
+  assert_bound l2 ~is_upper:true [ (Rat.of_int 2, x); (Rat.of_int 3, y) ] (Rat.of_int 12) ~reason:1;
+  assert_bound l2 ~is_upper:false [ (Rat.one, y) ] (Rat.of_int 2) ~reason:2;
   (match Lia.check l2 with
   | Lia.Sat ->
     let vx = Lia.model_value l2 x and vy = Lia.model_value l2 y in
@@ -409,35 +414,84 @@ let test_lia_direct () =
   Lia.reset_bounds l2;
   (match Lia.check l2 with Lia.Sat -> () | _ -> Alcotest.fail "reset not clean")
 
+(* A random constraint [a/da x + b/db y (<= | < | >= | >) c/dc]: rational
+   coefficients and bound, either direction, strict or not. *)
+type box_constraint = {
+  a : int; da : int; b : int; db : int; c : int; dc : int; strict : bool; is_upper : bool;
+}
+
+let arb_box_constraint =
+  let open QCheck.Gen in
+  let frac lo hi dmax = pair (int_range lo hi) (int_range 1 dmax) in
+  let gen =
+    map
+      (fun (((a, da), (b, db)), (c, dc), strict, is_upper) ->
+        { a; da; b; db; c; dc; strict; is_upper })
+      (quad (pair (frac (-3) 3 3) (frac (-3) 3 3)) (frac (-6) 6 2) bool bool)
+  in
+  let print k =
+    Printf.sprintf "%d/%d x + %d/%d y %s %d/%d" k.a k.da k.b k.db
+      (match (k.is_upper, k.strict) with
+      | true, false -> "<=" | true, true -> "<" | false, false -> ">=" | false, true -> ">")
+      k.c k.dc
+  in
+  QCheck.make ~print gen
+
+(* The constraint at an integer point, exactly: scaled by da*db*dc > 0. *)
+let box_holds k x y =
+  let lhs = (k.a * k.db * k.dc * x) + (k.b * k.da * k.dc * y) and rhs = k.c * k.da * k.db in
+  match (k.is_upper, k.strict) with
+  | true, false -> lhs <= rhs
+  | true, true -> lhs < rhs
+  | false, false -> lhs >= rhs
+  | false, true -> lhs > rhs
+
+let box_coeffs k x y = [ (Rat.of_ints k.a k.da, x); (Rat.of_ints k.b k.db, y) ]
+
 let prop_lia_vs_bruteforce =
-  (* Random small integer constraint systems: compare against brute force
-     over a bounded box. *)
-  QCheck.Test.make ~name:"lia agrees with brute force on box problems" ~count:100
-    QCheck.(
-      list_of_size (QCheck.Gen.int_range 1 5)
-        (triple (int_range (-3) 3) (int_range (-3) 3) (int_range (-6) 6)))
+  (* Random small integer constraint systems, asserted the way the solver
+     asserts them: compare against brute force over a bounded box.  Each
+     constraint's [atom_view] must also admit exactly its integer points
+     on the box. *)
+  QCheck.Test.make ~name:"lia agrees with brute force on box problems" ~count:200
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 5) arb_box_constraint)
     (fun constraints ->
       let l = Lia.create () in
       let xt = ic "pbx" and yt = ic "pby" in
       let x = Lia.var_of_term l xt and y = Lia.var_of_term l yt in
       (* Bound the box so brute force is exact. *)
-      Lia.assert_ge l [ (Rat.one, x) ] (Rat.of_int (-5)) ~reason:100;
-      Lia.assert_le l [ (Rat.one, x) ] (Rat.of_int 5) ~reason:101;
-      Lia.assert_ge l [ (Rat.one, y) ] (Rat.of_int (-5)) ~reason:102;
-      Lia.assert_le l [ (Rat.one, y) ] (Rat.of_int 5) ~reason:103;
+      assert_bound l ~is_upper:false [ (Rat.one, x) ] (Rat.of_int (-5)) ~reason:100;
+      assert_bound l ~is_upper:true [ (Rat.one, x) ] (Rat.of_int 5) ~reason:101;
+      assert_bound l ~is_upper:false [ (Rat.one, y) ] (Rat.of_int (-5)) ~reason:102;
+      assert_bound l ~is_upper:true [ (Rat.one, y) ] (Rat.of_int 5) ~reason:103;
       List.iteri
-        (fun i (a, b, c) ->
-          Lia.assert_le l [ (Rat.of_int a, x); (Rat.of_int b, y) ] (Rat.of_int c) ~reason:i)
+        (fun i k ->
+          assert_bound l ~strict:k.strict ~is_upper:k.is_upper (box_coeffs k x y)
+            (Rat.of_ints k.c k.dc) ~reason:i)
         constraints;
+      let box = List.init 11 (fun i -> i - 5) in
+      let points = List.concat_map (fun vx -> List.map (fun vy -> (vx, vy)) box) box in
       let brute =
-        let ok = ref false in
-        for vx = -5 to 5 do
-          for vy = -5 to 5 do
-            if List.for_all (fun (a, b, c) -> (a * vx) + (b * vy) <= c) constraints then ok := true
-          done
-        done;
-        !ok
+        List.exists (fun (vx, vy) -> List.for_all (fun k -> box_holds k vx vy) constraints) points
       in
+      let view_exact k =
+        let view, bound =
+          Lia.atom_view (box_coeffs k x y) (Rat.of_ints k.c k.dc) ~strict:k.strict
+            ~is_upper:k.is_upper
+        in
+        List.for_all
+          (fun (vx, vy) ->
+            let value v = if v = x then vx else if v = y then vy else assert false in
+            let lhs =
+              List.fold_left
+                (fun acc (v, c) -> Rat.add acc (Rat.mul (Rat.of_bigint c) (Rat.of_int (value v))))
+                Rat.zero view
+            in
+            box_holds k vx vy = (Rat.compare lhs bound <= 0))
+          points
+      in
+      List.for_all view_exact constraints
+      &&
       match Lia.check l with
       | Lia.Sat -> brute
       | Lia.Conflict _ -> not brute

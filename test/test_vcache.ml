@@ -350,6 +350,48 @@ let test_fingerprint_history () =
   Alcotest.(check (list string)) "fingerprints unchanged by earlier encodings" before
     (fps Profiles.verus Bench_programs.const_cond)
 
+(* ------------------------------------------------------------------ *)
+(* Overlapping writers                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let entry =
+  {
+    Vcache.e_answer = Smt.Solver.Unsat;
+    e_detail = "";
+    e_bytes = 0;
+    e_time_s = 0.0;
+    e_profile = None;
+    e_cert_digest = None;
+    e_rung = None;
+  }
+
+(* Open a handle on [dir], record one entry under [key], flush. *)
+let store_one dir key =
+  let h = Vcache.open_ { Vcache.dir } in
+  Vcache.store h ~name:key ~fp:key entry;
+  Vcache.flush h
+
+let test_two_handles () =
+  let dir = fresh_dir () in
+  let a = Vcache.open_ { Vcache.dir } and b = Vcache.open_ { Vcache.dir } in
+  Vcache.store a ~name:"a" ~fp:"fp-a" entry;
+  Vcache.store b ~name:"b" ~fp:"fp-b" entry;
+  let flushed = [ Vcache.flush a; Vcache.flush b ] in
+  Alcotest.(check bool) "both flushes succeed" true (List.for_all Result.is_ok flushed);
+  Alcotest.(check int) "each handle's entry is kept" 2 (Vcache.disk_stats ~dir).Vcache.ds_entries
+
+let test_concurrent_flushes () =
+  let dir = fresh_dir () in
+  let rounds = 50 in
+  let writer tag () = List.init rounds (fun i -> store_one dir (Printf.sprintf "%s-%d" tag i)) in
+  let other = Domain.spawn (writer "left") in
+  let mine = writer "right" () in
+  let errors =
+    List.filter_map (function Ok () -> None | Error e -> Some e) (mine @ Domain.join other)
+  in
+  Alcotest.(check (list string)) "no flush fails" [] errors;
+  Alcotest.(check int) "no entry is lost" (2 * rounds) (Vcache.disk_stats ~dir).Vcache.ds_entries
+
 let () =
   Alcotest.run "vcache"
     [
@@ -364,6 +406,8 @@ let () =
           Alcotest.test_case "wrong schema" `Quick test_wrong_schema;
           Alcotest.test_case "malformed entry" `Quick test_malformed_entry;
           Alcotest.test_case "torn store" `Quick test_torn_store;
+          Alcotest.test_case "two handles" `Quick test_two_handles;
+          Alcotest.test_case "concurrent flushes" `Quick test_concurrent_flushes;
         ] );
       ( "fingerprint",
         [

@@ -153,6 +153,30 @@ let test_epr () =
   let cyc = T.forall [ ("x", node) ] (T.not_ (T.eq (T.app f [ x ]) x)) in
   Alcotest.(check bool) "rejects sort cycle" true (Result.is_error (Smt.Epr.check_fragment [ cyc ]))
 
+(* EPR skolemizes a problem once: the fresh symbols one check_valid mints
+   on a forall-exists query, counted as the gap between two probe
+   symbols, are exactly its skolems. *)
+let test_epr_skolemizes_once () =
+  let a_sort = S.Usort "TSkA" and b_sort = S.Usort "TSkB" in
+  let r = T.Sym.declare "t.skr" [ a_sort; b_sort ] S.Bool in
+  let p = T.Sym.declare "t.skp" [ b_sort ] S.Bool in
+  let c = T.const (T.Sym.declare "t.skc" [] a_sort) in
+  let d = T.const (T.Sym.declare "t.skd" [] b_sort) in
+  let x = T.bvar "x" a_sort and y = T.bvar "y" b_sort and z = T.bvar "z" b_sort in
+  (* forall x. exists y z. r(x, y) /\ r(x, z): two skolems, y(x) and z(x);
+     [d] keeps the grounding from minting a witness for sort B. *)
+  let hyp =
+    T.forall [ ("x", a_sort) ]
+      (T.exists [ ("y", b_sort); ("z", b_sort) ] (T.and_ [ T.app r [ x; y ]; T.app r [ x; z ] ]))
+  in
+  let goal = T.exists [ ("y", b_sort) ] (T.app r [ c; y ]) in
+  let probe () = (T.Sym.fresh "probe" [] S.Bool).T.sid in
+  let before = probe () in
+  let res = Smt.Epr.check_valid ~hyps:[ hyp; T.app p [ d ] ] goal in
+  let minted = probe () - before - 1 in
+  Alcotest.(check bool) "valid" true (res.Smt.Solver.answer = Smt.Solver.Unsat);
+  Alcotest.(check int) "one skolem per existential" 2 minted
+
 (* ------------------------------------------------------------------ *)
 (* Front-end rejection                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -453,6 +477,7 @@ let () =
         [
           Alcotest.test_case "decide + reject" `Quick test_epr;
           Alcotest.test_case "distributed lock (EPR mode)" `Quick test_dlock_epr;
+          Alcotest.test_case "skolemizes once" `Quick test_epr_skolemizes_once;
         ] );
       ( "front-end",
         [
