@@ -556,9 +556,10 @@ let docs path =
 
 (* The "same verdicts" pin: bench/perf's cold-suite pairs at CLI verify
    defaults, its ladder-climb pairs up the escalate ladder behind the
-   prescreen, and every bundled program under Ivy (the EPR arm).  A
-   "<profile>-liberal" profile is the broad-trigger degradation of a
-   bundled one. *)
+   prescreen, every bundled program under Ivy (the EPR arm), and
+   certified runs, whose digests include each Unsat's certificate digest
+   and so pin the search itself.  A "<profile>-liberal" profile is the
+   broad-trigger degradation of a bundled one. *)
 let manifest_digest ~program ~profile ~setting =
   let ok = function Ok x -> x | Error e -> fail "%s" e in
   let p =
@@ -570,6 +571,7 @@ let manifest_digest ~program ~profile ~setting =
     match setting with
     | "default" -> Rpc.query Rpc.Verify program
     | "escalate+prescreen" -> Rpc.query ~ladder:"escalate" ~analyze:true Rpc.Verify program
+    | "certify" -> Rpc.query ~certify:true Rpc.Verify program
     | s -> fail "unknown setting %s" s
   in
   digest (run q p (ok (Vservice.find_program program)))

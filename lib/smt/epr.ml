@@ -5,6 +5,15 @@
 (* Fragment check                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* An offending term as the cache fingerprints render it: fresh symbols
+   numbered by first occurrence, commutative operands in structural order,
+   so the reason (which result digests hash) does not depend on what the
+   process ran before. *)
+let render t =
+  let s = Canon.create () in
+  Canon.add_term s t;
+  String.trim (Canon.contents s)
+
 let rec first_error f = function
   | [] -> Ok ()
   | x :: rest -> ( match f x with Ok () -> first_error f rest | Error e -> Error e)
@@ -13,8 +22,8 @@ let rec check_term (t : Term.t) =
   match t.Term.node with
   | Term.Int_lit _ | Term.Add _ | Term.Sub _ | Term.Mul _ | Term.Neg _ | Term.Le _
   | Term.Lt _ | Term.Idiv _ | Term.Imod _ ->
-    Error ("arithmetic is outside EPR: " ^ Term.to_string t)
-  | Term.Bv_lit _ | Term.Bv_op _ -> Error ("bit-vectors are outside EPR: " ^ Term.to_string t)
+    Error ("arithmetic is outside EPR: " ^ render t)
+  | Term.Bv_lit _ | Term.Bv_op _ -> Error ("bit-vectors are outside EPR: " ^ render t)
   | Term.App (f, args) ->
     if Sort.equal f.Term.sret Sort.Int then
       Error ("integer-sorted symbol outside EPR: " ^ f.Term.sname)

@@ -5,24 +5,38 @@
    symbol id) and child nodes; everything else is an opaque leaf.  The
    union-find tracks equivalence classes; a separate "proof forest" stores,
    for every merged pair, the edge that caused the merge (an input equation
-   or a congruence step), from which explanations are reconstructed. *)
+   or a congruence step), from which explanations are reconstructed.
+   Nodes outlive a [reset]; classes, proof forest and assertions do not. *)
 
 type edge_label =
   | Input of int (* reason tag *)
   | Congruence of int * int (* the two application nodes found congruent *)
 
+(* Signatures: (label, child class reps). *)
+module Sig = Hashtbl.Make (struct
+  type t = int * int list
+
+  let equal ((l1, c1) : t) (l2, c2) = l1 = l2 && List.equal Int.equal c1 c2
+  let hash ((l, cs) : t) = List.fold_left (fun h c -> (h * 65599) + c) l cs land max_int
+end)
+
 type t = {
+  (* The node table: grows for the life of the instance and survives
+     [reset]. *)
   mutable nodes : int; (* node count *)
   term_of : Term.t Vbase.Vecbuf.t; (* node id -> term *)
   node_of : (int, int) Hashtbl.t; (* term tid -> node id *)
+  app_info : (int * int list) Vbase.Vecbuf.t; (* node -> (label, children); (-1,[]) for leaves *)
+  (* Per-round state, cleared by [reset].  Only nodes below [active] take
+     part; [activate] brings nodes in, in id order. *)
+  mutable active : int;
   mutable uf : int array; (* union-find parent (roots point to self) *)
   mutable rank : int array;
   mutable proof_parent : int array; (* proof forest parent, -1 at roots *)
   mutable proof_label : edge_label array;
   mutable use_list : int list array; (* class rep -> app nodes using it *)
   mutable members : int list array; (* class rep -> member nodes *)
-  sig_table : (int * int list, int) Hashtbl.t; (* (label, child reps) -> app node *)
-  app_info : (int * int list) Vbase.Vecbuf.t; (* node -> (label, children); (-1,[]) for leaves *)
+  sig_table : int Sig.t; (* signature -> app node *)
   mutable diseqs : (int * int * int) list; (* (node, node, reason) *)
   pending : (int * int * edge_label) Queue.t;
 }
@@ -32,17 +46,24 @@ let create () =
     nodes = 0;
     term_of = Vbase.Vecbuf.create ~dummy:Term.tru;
     node_of = Hashtbl.create 64;
+    app_info = Vbase.Vecbuf.create ~dummy:(-1, []);
+    active = 0;
     uf = Array.make 64 0;
     rank = Array.make 64 0;
     proof_parent = Array.make 64 (-1);
     proof_label = Array.make 64 (Input (-1));
     use_list = Array.make 64 [];
     members = Array.make 64 [];
-    sig_table = Hashtbl.create 64;
-    app_info = Vbase.Vecbuf.create ~dummy:(-1, []);
+    sig_table = Sig.create 64;
     diseqs = [];
     pending = Queue.create ();
   }
+
+let reset t =
+  t.active <- 0;
+  Sig.clear t.sig_table;
+  t.diseqs <- [];
+  Queue.clear t.pending
 
 let ensure_capacity t n =
   let cap = Array.length t.uf in
@@ -66,15 +87,50 @@ let rec find t i = if t.uf.(i) = i then i else
     t.uf.(i) <- r;
     r
 
-(* Register a term; applications register children recursively. *)
-let rec node_of_term t tm =
+(* Bring node [n] into the round as a singleton class; an application
+   joins the signature table (or queues its congruence) and the use lists
+   of its children's classes.  Children have smaller ids, so they are
+   already active. *)
+let activate_node t n =
+  t.uf.(n) <- n;
+  t.rank.(n) <- 0;
+  t.proof_parent.(n) <- -1;
+  t.proof_label.(n) <- Input (-1);
+  t.use_list.(n) <- [];
+  t.members.(n) <- [ n ];
+  match Vbase.Vecbuf.get t.app_info n with
+  | -1, [] -> ()
+  | label, children ->
+    let key = (label, List.map (find t) children) in
+    (match Sig.find_opt t.sig_table key with
+    | Some existing when find t existing <> find t n ->
+      Queue.push (n, existing, Congruence (n, existing)) t.pending
+    | Some _ -> ()
+    | None -> Sig.add t.sig_table key n);
+    List.iter (fun c -> let r = find t c in t.use_list.(r) <- n :: t.use_list.(r)) children
+
+let activate t n =
+  while t.active < n do
+    activate_node t t.active;
+    t.active <- t.active + 1
+  done
+
+let size t = t.nodes
+
+(* Register a term; applications register children recursively.  A term
+   already in the table is activated with every node below it, so
+   replaying a round's registrations after [reset] rebuilds that round's
+   state exactly. *)
+let rec node t tm =
   match Hashtbl.find_opt t.node_of (Term.hash tm) with
-  | Some n -> n
+  | Some n ->
+    activate t (n + 1);
+    n
   | None ->
     let info =
       match tm.Term.node with
       | Term.App (f, args) when args <> [] ->
-        let children = List.map (node_of_term t) args in
+        let children = List.map (node t) args in
         (f.Term.sid, children)
       | _ -> (-1, [])
     in
@@ -84,23 +140,14 @@ let rec node_of_term t tm =
     Vbase.Vecbuf.push t.term_of tm;
     Vbase.Vecbuf.push t.app_info info;
     Hashtbl.add t.node_of (Term.hash tm) n;
-    t.uf.(n) <- n;
-    t.rank.(n) <- 0;
-    t.use_list.(n) <- [];
-    t.members.(n) <- [ n ];
-    (match info with
-    | -1, [] -> ()
-    | label, children ->
-      let key = (label, List.map (find t) children) in
-      (match Hashtbl.find_opt t.sig_table key with
-      | Some existing when find t existing <> find t n ->
-        Queue.push (n, existing, Congruence (n, existing)) t.pending
-      | Some _ -> ()
-      | None -> Hashtbl.add t.sig_table key n);
-      List.iter (fun c -> let r = find t c in t.use_list.(r) <- n :: t.use_list.(r)) children);
+    activate t (n + 1);
     n
 
-let add_term t tm = ignore (node_of_term t tm)
+(* The node of a term registered and active this round. *)
+let lookup t tm =
+  match Hashtbl.find_opt t.node_of (Term.hash tm) with
+  | Some n when n < t.active -> Some n
+  | _ -> None
 
 (* --- proof forest --------------------------------------------------- *)
 
@@ -144,23 +191,20 @@ and do_merge t a b label =
       (fun app ->
         let label_app, children = Vbase.Vecbuf.get t.app_info app in
         let key = (label_app, List.map (find t) children) in
-        match Hashtbl.find_opt t.sig_table key with
+        match Sig.find_opt t.sig_table key with
         | Some existing when find t existing <> find t app ->
           Queue.push (app, existing, Congruence (app, existing)) t.pending
         | Some _ -> ()
-        | None -> Hashtbl.add t.sig_table key app)
+        | None -> Sig.add t.sig_table key app)
       uses;
     t.use_list.(big) <- List.rev_append uses t.use_list.(big)
   end
 
-let merge t tm1 tm2 ~reason =
-  let a = node_of_term t tm1 and b = node_of_term t tm2 in
+let merge t a b ~reason =
   do_merge t a b (Input reason);
   process_pending t
 
-let assert_diseq t tm1 tm2 ~reason =
-  let a = node_of_term t tm1 and b = node_of_term t tm2 in
-  t.diseqs <- (a, b, reason) :: t.diseqs
+let assert_diseq t a b ~reason = t.diseqs <- (a, b, reason) :: t.diseqs
 
 (* --- explanations ---------------------------------------------------- *)
 
@@ -196,11 +240,12 @@ let rec explain_nodes t acc a b =
   end
 
 let explain t tm1 tm2 =
-  let a = node_of_term t tm1 and b = node_of_term t tm2 in
-  List.sort_uniq compare (explain_nodes t [] a b)
+  match (lookup t tm1, lookup t tm2) with
+  | Some a, Some b -> List.sort_uniq compare (explain_nodes t [] a b)
+  | _ -> invalid_arg "Euf.explain: term not registered"
 
 let are_equal t tm1 tm2 =
-  match (Hashtbl.find_opt t.node_of (Term.hash tm1), Hashtbl.find_opt t.node_of (Term.hash tm2)) with
+  match (lookup t tm1, lookup t tm2) with
   | Some a, Some b -> find t a = find t b
   | _ -> Term.equal tm1 tm2
 
@@ -224,7 +269,7 @@ let check t =
   (* Distinct literals merged into one class. *)
   if !conflict = None then begin
     let by_class = Hashtbl.create 16 in
-    for n = 0 to t.nodes - 1 do
+    for n = 0 to t.active - 1 do
       let tm = Vbase.Vecbuf.get t.term_of n in
       if is_literal tm then begin
         let r = find t n in
@@ -239,19 +284,14 @@ let check t =
   match !conflict with None -> Ok () | Some reasons -> Error reasons
 
 let iter_classes t f =
-  for r = 0 to t.nodes - 1 do
+  for r = 0 to t.active - 1 do
     if find t r = r then
       f (List.map (fun n -> Vbase.Vecbuf.get t.term_of n) t.members.(r))
   done
 
-let class_id t tm =
-  match Hashtbl.find_opt t.node_of (Term.hash tm) with
-  | Some n -> Some (find t n)
-  | None -> None
+let class_id t tm = Option.map (find t) (lookup t tm)
 
 let class_members t tm =
-  match Hashtbl.find_opt t.node_of (Term.hash tm) with
-  | Some n ->
-    let r = find t n in
-    List.map (fun m -> Vbase.Vecbuf.get t.term_of m) t.members.(r)
+  match lookup t tm with
+  | Some n -> List.map (fun m -> Vbase.Vecbuf.get t.term_of m) t.members.(find t n)
   | None -> [ tm ]

@@ -365,6 +365,9 @@ type prepared =
   | P_const of Rat.t (* the constant constraint [0 <= b]; violated iff b < 0 *)
   | P_up of int * Rat.t
   | P_lo of int * Rat.t
+  | P_eq of (int * Bigint.t) list * Bigint.t
+      (* an integer equality (canonical coefficients, right-hand side) for
+         the elimination-based integrality check *)
 
 (* The integer tightening of [sum coeffs <= c] (upper) or [>= c] (lower):
    the canonical integer coefficients, whether the canonical form is
@@ -398,6 +401,23 @@ let atom_view coeffs c ~strict ~is_upper =
   | ints, true, b -> (ints, b)
   | ints, false, b -> (List.map (fun (v, x) -> (v, Bigint.neg x)) ints, Rat.neg b)
 
+(* The two bounds of [sum coeffs = c], then the equality itself for the
+   elimination-based integrality check (which catches parity/gcd conflicts
+   that branch-and-bound cannot terminate on) when its canonical form has
+   an integral right-hand side. *)
+let prepare_eq t coeffs c =
+  let up = prepare t coeffs c ~strict:false ~is_upper:true in
+  let lo = prepare t coeffs c ~strict:false ~is_upper:false in
+  let eq =
+    match normalize_coeffs coeffs with
+    | [] -> []
+    | nc ->
+      let ints, scale, _flipped = canonicalize nc in
+      let rhs = Rat.mul c scale in
+      if Rat.is_integer rhs then [ P_eq (ints, (rhs : Rat.t).Rat.num) ] else []
+  in
+  up :: lo :: eq
+
 let assert_prepared t (p : prepared) ~reason =
   if t.conflict = None then begin
     match p with
@@ -408,18 +428,8 @@ let assert_prepared t (p : prepared) ~reason =
       end
     | P_up (s, b) -> assert_upper t s b reason
     | P_lo (s, b) -> assert_lower t s b reason
+    | P_eq (ints, rhs) -> t.equations <- (ints, rhs, reason) :: t.equations
   end
-
-let record_equation t coeffs c ~reason =
-  (* For the elimination-based integrality check (catches parity/gcd
-     conflicts that branch-and-bound cannot terminate on). *)
-  match normalize_coeffs coeffs with
-  | [] -> ()
-  | nc ->
-    let ints, scale, _flipped = canonicalize nc in
-    let rhs = Rat.mul c scale in
-    if Rat.is_integer rhs then
-      t.equations <- (ints, (rhs : Rat.t).Rat.num, reason) :: t.equations
 
 (* Omega-style integer equality elimination: repeatedly solve equations
    with a unit coefficient and substitute; detect gcd conflicts.  Sound
@@ -657,9 +667,10 @@ let check ?(max_branch = 2000) t =
   match t.conflict with
   | Some c -> Conflict c
   | None -> (
-    (* Re-establish basic betas (bounds asserted since the last check may
-       have moved nonbasic vars). *)
-    Hashtbl.iter (fun b row -> t.beta.(b) <- eval_row t row) t.rows;
+    (* No re-evaluation of the basic values: every write to [beta]
+       ([update_nonbasic], [pivot_and_update], [form_var]) keeps each basic
+       value equal to its row at the current assignment, and bound resets
+       and restores touch bounds only ({!tableau_consistent} checks it). *)
     match bb_check t (ref max_branch) with
     | Unknown -> (
       (* Branch-and-bound cannot terminate on gcd/parity infeasibilities;
@@ -673,3 +684,6 @@ let check ?(max_branch = 2000) t =
     | v -> v)
 
 let model_value t v = t.beta.(v)
+
+let tableau_consistent t =
+  Hashtbl.fold (fun b row ok -> ok && Rat.equal t.beta.(b) (eval_row t row)) t.rows true

@@ -1,7 +1,11 @@
 (** Linear integer arithmetic, via the Dutertre–de Moura general simplex
     over exact rationals plus branch-and-bound for integrality.
 
-    Used non-incrementally by the ground solver's final check.  Opaque
+    The ground solver keeps one instance for a whole solve: variables,
+    slack forms and the tableau (with every basic value kept equal to its
+    row at the current assignment) survive from one final check to the
+    next, and each check starts with {!reset_bounds} and re-asserts the
+    bounds of the current boolean model, prepared once per atom.  Opaque
     integer terms (constants, uninterpreted applications, nonlinear
     products) become solver variables; linear structure is normalized to
     integer-coefficient constraints, with strict inequalities rewritten to
@@ -45,10 +49,11 @@ val prepare :
 val assert_prepared : t -> prepared -> reason:int -> unit
 (** Asserts a previously {!prepare}d bound under the given reason tag. *)
 
-val record_equation : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> reason:int -> unit
-(** Register an equality for the elimination-based integrality fallback
-    (callers using [prepare] for the two bounds of an equality should also
-    record it here). *)
+val prepare_eq : t -> (Vbase.Rat.t * int) list -> Vbase.Rat.t -> prepared list
+(** [prepare_eq t coeffs c]: the two bounds of [sum coeffs = c], then, when
+    its canonical integer form has an integral right-hand side, the
+    equality itself, which {!assert_prepared} records for the
+    elimination-based integrality fallback. *)
 
 val check : ?max_branch:int -> t -> verdict
 (** Decides the current constraint set.  [max_branch] bounds the
@@ -57,6 +62,11 @@ val check : ?max_branch:int -> t -> verdict
 
 val model_value : t -> int -> Vbase.Rat.t
 (** Value of a variable in the model found by the last [Sat] check. *)
+
+val tableau_consistent : t -> bool
+(** Whether every basic variable's value equals its row evaluated at the
+    current values, the invariant {!check} relies on instead of
+    re-evaluating the rows.  Read-only; for tests. *)
 
 val find_var : t -> Term.t -> int option
 (** Like {!var_of_term} but without registering new variables. *)

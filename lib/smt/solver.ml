@@ -70,14 +70,34 @@ type result = {
          [config.certify = true] *)
 }
 
+(* A theory atom and its value in the SAT model the current final check
+   examines. *)
+type atom = { var : int; term : Term.t; mutable value : bool }
+
+(* What final checks need of an atom beyond its value, derived once, when
+   the first final check that sees the atom reaches it. *)
+type atom_form = {
+  tid : int; (* the atom's term id *)
+  mark : int; (* E-graph size once this atom's terms are registered *)
+  role : euf_role;
+  apps : Term.t list; (* its non-nullary applications, in fold_subterms order *)
+  mutable prep_pos : Lia.prepared list option; (* its LIA bounds when true *)
+  mutable prep_neg : Lia.prepared list option; (* ... and when false *)
+}
+
+and euf_role =
+  | Euf_eq of int * int (* an equality over these E-graph nodes *)
+  | Euf_pred of int (* a predicate application, equal to true or false *)
+  | Euf_none
+
 type state = {
   cfg : config;
   sat : Sat.t;
   bb : Bitblast.t;
   em : Ematch.t;
   lit_of : (int, int) Hashtbl.t; (* formula tid -> SAT literal (Tseitin) *)
-  atom_of_var : (int, Term.t) Hashtbl.t; (* SAT var -> theory atom *)
-  mutable atom_vars : int list; (* vars that carry theory atoms *)
+  atoms : atom Vbase.Vecbuf.t; (* theory atoms in creation order; only grows *)
+  forms : atom_form Vbase.Vecbuf.t; (* forms.(i) belongs to atoms.(i) *)
   quant_guard : (int, int) Hashtbl.t; (* forall tid -> guard SAT literal *)
   eq_split_done : (int, unit) Hashtbl.t; (* Eq atom tid -> split lemma added *)
   comb_pairs_done : (int * int, unit) Hashtbl.t;
@@ -103,11 +123,12 @@ type state = {
   mutable n_lia_conflicts : int;
   mutable n_theory_lemmas : int;
   mutable inst_rounds : int;
-  lia : Lia.t; (* persistent across rounds: tableau and slack forms survive *)
+  (* The theories persist across the rounds of one solve: the E-graph
+     keeps its node table and replays each atom's registration up to its
+     [mark]; LIA keeps variables, tableau and slack forms. *)
+  euf : Euf.t;
+  lia : Lia.t;
   lin_cache : (int, (Rat.t * Term.t) list * Rat.t) Hashtbl.t;
-  app_cache : (int, Term.t list) Hashtbl.t; (* atom tid -> App subterms *)
-  prep_cache : (int * bool, Lia.prepared list) Hashtbl.t;
-      (* (atom tid, polarity) -> prepared LIA constraints *)
   mutable deadline : float; (* absolute wall deadline for this solve *)
   cert : Cert.builder option; (* Some iff cfg.certify *)
   justs : (int, Cert.just) Hashtbl.t; (* proof step id -> theory justification *)
@@ -127,8 +148,10 @@ let create_state cfg =
     bb = Bitblast.create sat;
     em = Ematch.create cfg.trigger_policy;
     lit_of = Hashtbl.create 256;
-    atom_of_var = Hashtbl.create 256;
-    atom_vars = [];
+    atoms = Vbase.Vecbuf.create ~dummy:{ var = -1; term = Term.tru; value = false };
+    forms =
+      Vbase.Vecbuf.create
+        ~dummy:{ tid = -1; mark = 0; role = Euf_none; apps = []; prep_pos = None; prep_neg = None };
     quant_guard = Hashtbl.create 16;
     eq_split_done = Hashtbl.create 16;
     comb_pairs_done = Hashtbl.create 16;
@@ -149,10 +172,9 @@ let create_state cfg =
     n_lia_conflicts = 0;
     n_theory_lemmas = 0;
     inst_rounds = 0;
+    euf = Euf.create ();
     lia;
     lin_cache = Hashtbl.create 256;
-    app_cache = Hashtbl.create 256;
-    prep_cache = Hashtbl.create 256;
     deadline = infinity;
     cert = (if cfg.certify then Some (Cert.create_builder ()) else None);
     justs = Hashtbl.create 64;
@@ -399,8 +421,7 @@ let rec formula_lit st (t : Term.t) : int =
         | _ ->
           (* Theory atom. *)
           let v = Sat.new_var st.sat in
-          Hashtbl.replace st.atom_of_var v t;
-          st.atom_vars <- v :: st.atom_vars;
+          Vbase.Vecbuf.push st.atoms { var = v; term = t; value = false };
           Ematch.add_ground st.em t;
           Sat.pos v)
       | _ ->
@@ -475,29 +496,73 @@ type round_outcome =
 
 exception Give_up of string
 
+(* The form of atom [i], derived on first sight.  Final checks reach
+   atoms in index order and atoms only grow, so a first sight happens with
+   every earlier atom replayed into the E-graph: registering this atom's
+   application subterms (in the order the E-graph was always fed them) and
+   its sides then creates the node ids a fresh E-graph fed atoms 0..i
+   would, and [mark] records where to replay up to. *)
+let atom_form st i (atom : Term.t) =
+  if i < Vbase.Vecbuf.length st.forms then begin
+    let f = Vbase.Vecbuf.get st.forms i in
+    assert (f.tid = atom.Term.tid);
+    f
+  end
+  else begin
+    let euf = st.euf in
+    let apps_rev =
+      Term.fold_subterms
+        (fun acc s -> match s.Term.node with Term.App _ -> s :: acc | _ -> acc)
+        [] atom
+    in
+    List.iter (fun s -> ignore (Euf.node euf s)) apps_rev;
+    let role =
+      match atom.Term.node with
+      | Term.Eq (a, b) when not (is_bv_atom atom) ->
+        let a = Euf.node euf a in
+        let b = Euf.node euf b in
+        Euf_eq (a, b)
+      | Term.App _ when Sort.equal atom.Term.sort Sort.Bool -> Euf_pred (Euf.node euf atom)
+      | _ -> Euf_none
+    in
+    let apps =
+      List.fold_left
+        (fun acc (s : Term.t) ->
+          match s.Term.node with Term.App (_, _ :: _) -> s :: acc | _ -> acc)
+        [] apps_rev
+    in
+    let f =
+      { tid = atom.Term.tid; mark = Euf.size euf; role; apps; prep_pos = None; prep_neg = None }
+    in
+    Vbase.Vecbuf.push st.forms f;
+    f
+  end
+
 let final_check st =
-  (* Gather the current assignment of theory atoms. *)
-  let assigned =
-    List.rev_map (fun v -> (v, Hashtbl.find st.atom_of_var v, Sat.value st.sat v)) st.atom_vars
+  (* Refresh the values of the theory atoms from the SAT model. *)
+  let atoms = st.atoms in
+  let n_atoms = Vbase.Vecbuf.length atoms in
+  for i = 0 to n_atoms - 1 do
+    let a = Vbase.Vecbuf.get atoms i in
+    a.value <- Sat.value st.sat a.var
+  done;
+  (* The literal under which atom [i] holds. *)
+  let atom_lit i =
+    let a = Vbase.Vecbuf.get atoms i in
+    if a.value then Sat.pos a.var else Sat.neg a.var
   in
-  let assigned = Array.of_list assigned in
-  (* The literal under which assigned atom [i] holds. *)
-  let assigned_lit i =
-    let v, _, value = assigned.(i) in
-    if value then Sat.pos v else Sat.neg v
-  in
-  (* The clause refuting a reason set (indices into [assigned]; internal
-     reasons are negative and drop out). *)
+  (* The clause refuting a reason set (atom indices; internal reasons are
+     negative and drop out). *)
   let blocking core =
-    List.filter_map (fun i -> if i < 0 then None else Some (Sat.lit_negate (assigned_lit i))) core
+    List.filter_map (fun i -> if i < 0 then None else Some (Sat.lit_negate (atom_lit i))) core
   in
   (* Certificate bookkeeping.  [euf_assumption] records the theory meaning
-     of an assigned atom's literal in the certificate's atom table and
-     returns the literal; [None] if the atom is outside the certified EUF
-     fragment (the justification then degrades to a trusted step). *)
+     of an atom's literal in the certificate's atom table and returns the
+     literal; [None] if the atom is outside the certified EUF fragment (the
+     justification then degrades to a trusted step). *)
   let euf_assumption bd i =
-    let _, atom, value = assigned.(i) in
-    let lit = assigned_lit i in
+    let { term = atom; value; _ } = Vbase.Vecbuf.get atoms i in
+    let lit = atom_lit i in
     match atom.Term.node with
     | Term.Eq (x, y) when not (is_bv_atom atom) ->
       Cert.lit_eq bd lit (value, Cert.intern_term bd x, Cert.intern_term bd y);
@@ -524,36 +589,23 @@ let final_check st =
     in
     if !ok then Cert.J_euf lits else Cert.J_trusted "euf"
   in
-  (* --- EUF --- *)
-  let euf_build_t0 = Unix.gettimeofday () in
-  let euf = Euf.create () in
-  Euf.assert_diseq euf Term.tru Term.fls ~reason:(-2);
-  Array.iteri
-    (fun i (_, atom, value) ->
-      (* Register all application subterms for congruence (cached per atom:
-         the walk itself is the expensive part on big contexts). *)
-      let apps =
-        match Hashtbl.find_opt st.app_cache atom.Term.tid with
-        | Some l -> l
-        | None ->
-          let l =
-            Term.fold_subterms
-              (fun acc s -> match s.Term.node with Term.App _ -> s :: acc | _ -> acc)
-              [] atom
-          in
-          Hashtbl.replace st.app_cache atom.Term.tid l;
-          l
-      in
-      List.iter (fun s -> Euf.add_term euf s) apps;
-      match atom.Term.node with
-      | Term.Eq (a, b) when not (is_bv_atom atom) ->
-        if value then Euf.merge euf a b ~reason:i else Euf.assert_diseq euf a b ~reason:i
-      | Term.App (_, _) when Sort.equal atom.Term.sort Sort.Bool ->
-        Euf.merge euf atom (if value then Term.tru else Term.fls) ~reason:i
-      | _ -> ())
-    assigned;
-  st.t_euf <- st.t_euf +. (Unix.gettimeofday () -. euf_build_t0);
+  (* --- EUF: replay every atom into the reset E-graph, then check --- *)
   let euf_t0 = Unix.gettimeofday () in
+  let euf = st.euf in
+  Euf.reset euf;
+  let tru = Euf.node euf Term.tru in
+  let fls = Euf.node euf Term.fls in
+  Euf.assert_diseq euf tru fls ~reason:(-2);
+  for i = 0 to n_atoms - 1 do
+    let a = Vbase.Vecbuf.get atoms i in
+    let f = atom_form st i a.term in
+    Euf.activate euf f.mark;
+    match f.role with
+    | Euf_eq (x, y) ->
+      if a.value then Euf.merge euf x y ~reason:i else Euf.assert_diseq euf x y ~reason:i
+    | Euf_pred p -> Euf.merge euf p (if a.value then tru else fls) ~reason:i
+    | Euf_none -> ()
+  done;
   let euf_verdict = Euf.check euf in
   st.t_euf <- st.t_euf +. (Unix.gettimeofday () -. euf_t0);
   match euf_verdict with
@@ -579,15 +631,15 @@ let final_check st =
     in
     (* Assert the bounds of atom [i] ([a - b] against zero), prepared by
        [make cs bound] over its linear form [cs . x <= bound] (or [>=]) on
-       first sight and cached per polarity. *)
-    let assert_bounds i (atom : Term.t) a b value make =
+       first use and kept in its form per polarity. *)
+    let assert_bounds i f (atom : Term.t) a b value make =
       let ps =
-        match Hashtbl.find_opt st.prep_cache (atom.Term.tid, value) with
+        match if value then f.prep_pos else f.prep_neg with
         | Some ps -> ps
         | None ->
           let cs, k = linearize_cached a b atom.Term.tid in
           let ps = make (to_lia_coeffs cs) (Rat.neg k) in
-          Hashtbl.replace st.prep_cache (atom.Term.tid, value) ps;
+          if value then f.prep_pos <- Some ps else f.prep_neg <- Some ps;
           ps
       in
       List.iter (fun p -> Lia.assert_prepared lia p ~reason:i) ps
@@ -616,31 +668,25 @@ let final_check st =
           add (Sat.lit_negate l_lt2) v_up;
           Cert.J_trichotomy (l_eq, l_lt1, l_lt2))
     in
-    Array.iteri
-      (fun i (_, atom, value) ->
-        match atom.Term.node with
-        | Term.Le (a, b) | Term.Lt (a, b) ->
-          let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
-          (* value true: sum <= bound (or <); false: negation. *)
-          assert_bounds i atom a b value (fun cs bound ->
-              if value then [ Lia.prepare lia cs bound ~strict ~is_upper:true ]
-              else [ Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false ])
-        | Term.Eq (a, b) when Sort.equal a.Term.sort Sort.Int ->
-          if value then begin
-            assert_bounds i atom a b true (fun cs bound ->
-                let p1 = Lia.prepare lia cs bound ~strict:false ~is_upper:true in
-                let p2 = Lia.prepare lia cs bound ~strict:false ~is_upper:false in
-                [ p1; p2 ]);
-            let cs, k = linearize_cached a b atom.Term.tid in
-            Lia.record_equation lia (to_lia_coeffs cs) (Rat.neg k) ~reason:i
-          end
-          else if not (Hashtbl.mem st.eq_split_done atom.Term.tid) then begin
-            (* not (a = b)  ==>  a < b \/ b < a *)
-            trichotomy atom a b;
-            progress := true
-          end
-        | _ -> ())
-      assigned;
+    for i = 0 to n_atoms - 1 do
+      let { term = atom; value; _ } = Vbase.Vecbuf.get atoms i in
+      let f = Vbase.Vecbuf.get st.forms i in
+      match atom.Term.node with
+      | Term.Le (a, b) | Term.Lt (a, b) ->
+        let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
+        (* value true: sum <= bound (or <); false: negation. *)
+        assert_bounds i f atom a b value (fun cs bound ->
+            if value then [ Lia.prepare lia cs bound ~strict ~is_upper:true ]
+            else [ Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false ])
+      | Term.Eq (a, b) when Sort.equal a.Term.sort Sort.Int ->
+        if value then assert_bounds i f atom a b true (Lia.prepare_eq lia)
+        else if not (Hashtbl.mem st.eq_split_done atom.Term.tid) then begin
+          (* not (a = b)  ==>  a < b \/ b < a *)
+          trichotomy atom a b;
+          progress := true
+        end
+      | _ -> ()
+    done;
     st.t_lia <- st.t_lia +. (Unix.gettimeofday () -. lia_build_t0);
     if !progress then begin
       (* Progress here means eq-split lemmas were added. *)
@@ -662,7 +708,7 @@ let final_check st =
               Cert.J_farkas
                 (List.map
                    (fun (e : Lia.centry) ->
-                     let lit = assigned_lit e.Lia.ce_reason in
+                     let lit = atom_lit e.Lia.ce_reason in
                      let ix = Cert.lit_view bd lit e.Lia.ce_coeffs e.Lia.ce_bound in
                      (lit, e.Lia.ce_lambda, ix))
                    entries)
@@ -727,26 +773,37 @@ let final_check st =
              Merging such a pair can fire a congruence; other equalities
              cannot help EUF, so guessing them is wasted work. *)
           let by_sym : (int, Term.t list ref) Hashtbl.t = Hashtbl.create 64 in
-          Array.iter
-            (fun (_, atom, _) ->
-              Term.fold_subterms
-                (fun () s ->
+          let seen = Hashtbl.create 256 in
+          for i = 0 to n_atoms - 1 do
+            List.iter
+              (fun (s : Term.t) ->
+                if not (Hashtbl.mem seen s.Term.tid) then begin
+                  Hashtbl.add seen s.Term.tid ();
                   match s.Term.node with
-                  | Term.App (f, _ :: _) -> (
+                  | Term.App (f, _) -> (
                     match Hashtbl.find_opt by_sym f.Term.sid with
-                    | Some r -> if not (List.memq s !r) then r := s :: !r
+                    | Some r -> r := s :: !r
                     | None -> Hashtbl.add by_sym f.Term.sid (ref [ s ]))
-                  | _ -> ())
-                () atom)
-            assigned;
+                  | _ -> ()
+                end)
+              (Vbase.Vecbuf.get st.forms i).apps
+          done;
           let candidate_pairs = ref [] in
           Hashtbl.iter
             (fun _ apps ->
               let arr = Array.of_list !apps in
-              let n = Array.length arr in
-              for i = 0 to min (n - 1) 40 do
-                for j = i + 1 to min (n - 1) 40 do
-                  if not (Euf.are_equal euf arr.(i) arr.(j)) then begin
+              let n = min (Array.length arr) 41 in
+              (* Each application's class, looked up once rather than per
+                 pair; the same test as [Euf.are_equal]. *)
+              let cls = Array.init n (fun i -> Euf.class_id euf arr.(i)) in
+              let same_class i j =
+                match (cls.(i), cls.(j)) with
+                | Some a, Some b -> a = b
+                | _ -> Term.equal arr.(i) arr.(j)
+              in
+              for i = 0 to n - 1 do
+                for j = i + 1 to n - 1 do
+                  if not (same_class i j) then begin
                     match (arr.(i).Term.node, arr.(j).Term.node) with
                     | Term.App (_, args1), Term.App (_, args2) ->
                       List.iter2
@@ -791,17 +848,13 @@ let final_check st =
 (* ------------------------------------------------------------------ *)
 
 let extract_model st =
-  (* Best effort: report boolean atoms over constants and any 0-ary
-     constants appearing in them. *)
-  let out = ref [] in
-  List.iter
-    (fun v ->
-      let atom = Hashtbl.find st.atom_of_var v in
-      match atom.Term.node with
-      | Term.App (f, []) -> out := (f.Term.sname, string_of_bool (Sat.value st.sat v)) :: !out
-      | _ -> ())
-    st.atom_vars;
-  List.rev !out
+  (* Best effort: report boolean atoms over constants, newest first. *)
+  Vbase.Vecbuf.fold
+    (fun out a ->
+      match a.term.Term.node with
+      | Term.App (f, []) -> (f.Term.sname, string_of_bool (Sat.value st.sat a.var)) :: out
+      | _ -> out)
+    [] st.atoms
 
 let solve ?(config = default_config) assertions =
   let t0 = Unix.gettimeofday () in

@@ -353,23 +353,140 @@ let test_euf_direct () =
   let a = uc "eda" srt and b = uc "edb" srt and c = uc "edc" srt in
   let f = T.Sym.declare "edf" [ srt ] srt in
   let e = Euf.create () in
-  Euf.merge e a b ~reason:1;
-  Euf.merge e b c ~reason:2;
+  let node = Euf.node e in
+  let merge x y ~reason =
+    let x = node x in
+    let y = node y in
+    Euf.merge e x y ~reason
+  in
+  merge a b ~reason:1;
+  merge b c ~reason:2;
   Alcotest.(check bool) "trans" true (Euf.are_equal e a c);
   (* Congruence after the fact. *)
-  Euf.add_term e (T.app f [ a ]);
-  Euf.add_term e (T.app f [ c ]);
+  ignore (node (T.app f [ a ]));
+  ignore (node (T.app f [ c ]));
   Alcotest.(check bool) "check ok" true (Euf.check e = Ok ());
   Alcotest.(check bool) "congruent" true (Euf.are_equal e (T.app f [ a ]) (T.app f [ c ]));
   (* Explanation is exactly the two input reasons. *)
   Alcotest.(check (list int)) "explain" [ 1; 2 ] (Euf.explain e (T.app f [ a ]) (T.app f [ c ]));
   (* Disequality conflict with a small core. *)
-  Euf.assert_diseq e (T.app f [ a ]) (T.app f [ c ]) ~reason:3;
+  Euf.assert_diseq e (node (T.app f [ a ])) (node (T.app f [ c ])) ~reason:3;
   (match Euf.check e with
   | Error core -> Alcotest.(check (list int)) "core" [ 1; 2; 3 ] core
   | Ok () -> Alcotest.fail "missed conflict");
   (* class_members exposes the merged class. *)
   Alcotest.(check int) "class size" 3 (List.length (Euf.class_members e a))
+
+(* A reused E-graph answers like a fresh one.  Random ground atoms over a
+   few symbols (equalities weighted double) go through several rounds of
+   random polarities, with atoms appended between some rounds.  Each
+   round replays the reused instance the way the solver's final check
+   does (reset, then per atom: activate up to the size recorded at its
+   first sight and assert on the recorded node ids) in step with a fresh
+   instance fed every registration again: the classes must agree after
+   every atom, and the check result, class ids and explanations at the
+   end. *)
+let prop_euf_reuse_matches_fresh =
+  let srt = S.Usort "EUFR" in
+  let c = Array.init 4 (fun i -> uc (Printf.sprintf "eufr.c%d" i) srt) in
+  let f = T.Sym.declare "eufr.f" [ srt ] srt in
+  let g = T.Sym.declare "eufr.g" [ srt; srt ] srt in
+  let p = T.Sym.declare "eufr.p" [ srt ] S.Bool in
+  let h = T.Sym.declare "eufr.h" [ srt ] S.Int in
+  let f1 x = T.app f [ x ] and g2 x y = T.app g [ x; y ] in
+  let pool =
+    [|
+      c.(0); c.(1); c.(2); c.(3); f1 c.(0); f1 c.(1); f1 (f1 c.(0)); g2 c.(0) c.(1);
+      g2 c.(1) c.(0); g2 (f1 c.(0)) c.(2); f1 (g2 c.(0) c.(1)); f1 c.(3);
+    |]
+  in
+  let atom (kind, x, y) =
+    match kind with
+    | 0 | 1 -> T.eq pool.(x) pool.(y)
+    | 2 -> T.app p [ pool.(x) ]
+    | _ -> T.eq (T.app h [ pool.(x) ]) (T.int_of (y mod 2))
+  in
+  (* First sight, as the solver registers an atom: its application
+     subterms, then the sides it asserts on. *)
+  let register e (atom : T.t) =
+    List.iter
+      (fun s -> ignore (Euf.node e s))
+      (T.fold_subterms (fun acc s -> match s.T.node with T.App _ -> s :: acc | _ -> acc) [] atom);
+    match atom.T.node with
+    | T.Eq (a, b) ->
+      let a = Euf.node e a in
+      let b = Euf.node e b in
+      `Eq (a, b)
+    | T.App _ -> `Pred (Euf.node e atom)
+    | _ -> `None
+  in
+  let assert_atom e ~tru ~fls i role value =
+    match role with
+    | `Eq (a, b) -> if value then Euf.merge e a b ~reason:i else Euf.assert_diseq e a b ~reason:i
+    | `Pred n -> Euf.merge e n (if value then tru else fls) ~reason:i
+    | `None -> ()
+  in
+  let start e =
+    let tru = Euf.node e T.tru in
+    let fls = Euf.node e T.fls in
+    Euf.assert_diseq e tru fls ~reason:(-2);
+    (tru, fls)
+  in
+  let classes e =
+    let out = ref [] in
+    Euf.iter_classes e (fun ms -> out := List.map (fun (t : T.t) -> t.T.tid) ms :: !out);
+    !out
+  in
+  let terms =
+    Array.to_list pool @ List.map (fun x -> T.app h [ x ]) (Array.to_list pool)
+    @ [ T.tru; T.fls; T.int_of 0; T.int_of 1 ]
+  in
+  QCheck.Test.make ~name:"a reset-and-replayed E-graph answers like a fresh one" ~count:500
+    QCheck.(
+      pair
+        (list_of_size (QCheck.Gen.int_range 2 10)
+           (triple (int_range 0 3) (int_range 0 11) (int_range 0 11)))
+        (list_of_size (QCheck.Gen.int_range 3 8) (pair (int_range 0 2) (int_range 0 0xFFFF))))
+    (fun (specs, rounds) ->
+      let atoms = Array.of_list (List.map atom specs) in
+      let reused = Euf.create () in
+      let seen = ref [||] in
+      let visible = ref 1 in
+      List.for_all
+        (fun (appended, bits) ->
+          visible := min (Array.length atoms) (!visible + appended);
+          let value i = (bits lsr (i mod 16)) land 1 = 1 in
+          Euf.reset reused;
+          let fresh = Euf.create () in
+          let r_tru, r_fls = start reused and f_tru, f_fls = start fresh in
+          let same_steps = ref true in
+          for i = 0 to !visible - 1 do
+            if i = Array.length !seen then begin
+              let role = register reused atoms.(i) in
+              seen := Array.append !seen [| (Euf.size reused, role) |]
+            end;
+            let mark, role = !seen.(i) in
+            Euf.activate reused mark;
+            assert_atom reused ~tru:r_tru ~fls:r_fls i role (value i);
+            assert_atom fresh ~tru:f_tru ~fls:f_fls i (register fresh atoms.(i)) (value i);
+            same_steps := !same_steps && classes reused = classes fresh
+          done;
+          !same_steps
+          && Euf.check reused = Euf.check fresh
+          && classes reused = classes fresh
+          && List.for_all
+               (fun a ->
+                 Euf.class_id reused a = Euf.class_id fresh a
+                 && List.for_all
+                      (fun b ->
+                        Euf.are_equal reused a b = Euf.are_equal fresh a b
+                        && (Euf.class_id fresh a = None
+                           || Euf.class_id fresh b = None
+                           || (not (Euf.are_equal fresh a b))
+                           || Euf.explain reused a b = Euf.explain fresh a b))
+                      terms)
+               terms)
+        rounds)
 
 (* ------------------------------------------------------------------ *)
 (* LIA directly                                                        *)
@@ -497,6 +614,60 @@ let prop_lia_vs_bruteforce =
       | Lia.Conflict _ -> not brute
       | Lia.Unknown -> true (* budget; cannot judge *))
 
+(* The simplex invariant [Lia.check] relies on instead of re-evaluating
+   its rows: one instance runs several rounds, each resetting the bounds,
+   asserting random rational constraints over three variables inside a
+   box and checking (pivots, branch and bound with its bound restores);
+   after every check each basic value equals its row at the current
+   assignment, and the verdict agrees with brute force over the box. *)
+let prop_lia_rows_stay_exact =
+  let xt = ic "prx" and yt = ic "pry" and zt = ic "prz" in
+  QCheck.Test.make ~name:"simplex basic values equal their rows across rounds" ~count:150
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 5)
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 5)
+          (QCheck.pair (QCheck.int_range 0 2) arb_box_constraint)))
+    (fun rounds ->
+      let l = Lia.create () in
+      let x = Lia.var_of_term l xt and y = Lia.var_of_term l yt and z = Lia.var_of_term l zt in
+      let vars = [| (x, y); (y, z); (x, z) |] in
+      let box = List.init 7 (fun i -> i - 3) in
+      List.for_all
+        (fun constraints ->
+          Lia.reset_bounds l;
+          List.iteri
+            (fun i v ->
+              assert_bound l ~is_upper:false [ (Rat.one, v) ] (Rat.of_int (-3)) ~reason:(100 + i);
+              assert_bound l ~is_upper:true [ (Rat.one, v) ] (Rat.of_int 3) ~reason:(110 + i))
+            [ x; y; z ];
+          List.iteri
+            (fun i (pair, k) ->
+              let u, v = vars.(pair) in
+              assert_bound l ~strict:k.strict ~is_upper:k.is_upper (box_coeffs k u v)
+                (Rat.of_ints k.c k.dc) ~reason:i)
+            constraints;
+          let verdict = Lia.check ~max_branch:200 l in
+          let holds vx vy vz =
+            List.for_all
+              (fun (pair, k) ->
+                match pair with
+                | 0 -> box_holds k vx vy
+                | 1 -> box_holds k vy vz
+                | _ -> box_holds k vx vz)
+              constraints
+          in
+          let brute =
+            List.exists
+              (fun vx -> List.exists (fun vy -> List.exists (fun vz -> holds vx vy vz) box) box)
+              box
+          in
+          Lia.tableau_consistent l
+          &&
+          match verdict with
+          | Lia.Sat -> brute
+          | Lia.Conflict _ -> not brute
+          | Lia.Unknown -> true)
+        rounds)
+
 (* ------------------------------------------------------------------ *)
 (* BV bit-blasting vs. native evaluation                               *)
 (* ------------------------------------------------------------------ *)
@@ -623,8 +794,9 @@ let () =
           Alcotest.test_case "lia direct" `Quick test_lia_direct;
           Alcotest.test_case "triggers" `Quick test_triggers;
         ] );
-      qsuite "lia-props" [ prop_lia_vs_bruteforce ];
-      qsuite "theory-props" [ prop_bv_vs_native; prop_euf_vs_unionfind ];
+      qsuite "lia-props" [ prop_lia_vs_bruteforce; prop_lia_rows_stay_exact ];
+      qsuite "theory-props"
+        [ prop_bv_vs_native; prop_euf_vs_unionfind; prop_euf_reuse_matches_fresh ];
       ( "term",
         [
           Alcotest.test_case "hashcons" `Quick test_term_hashcons;

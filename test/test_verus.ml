@@ -177,6 +177,15 @@ let test_epr_skolemizes_once () =
   Alcotest.(check bool) "valid" true (res.Smt.Solver.answer = Smt.Solver.Unsat);
   Alcotest.(check int) "one skolem per existential" 2 minted
 
+(* An outside-EPR reason names its fresh symbols by first occurrence, so
+   const_cond's Ivy digest is the same whatever the process ran before. *)
+let test_ivy_digest_history_free () =
+  let ivy_digest () = Driver.result_digest (Driver.verify_program Profiles.ivy Bench_programs.const_cond) in
+  let first = ivy_digest () in
+  ignore (Driver.verify_program Profiles.verus Bench_programs.const_cond);
+  ignore (Driver.verify_program Profiles.ivy Bench_programs.singly_linked);
+  Alcotest.(check string) "same digest after other runs" first (ivy_digest ())
+
 (* ------------------------------------------------------------------ *)
 (* Front-end rejection                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -478,6 +487,7 @@ let () =
           Alcotest.test_case "decide + reject" `Quick test_epr;
           Alcotest.test_case "distributed lock (EPR mode)" `Quick test_dlock_epr;
           Alcotest.test_case "skolemizes once" `Quick test_epr_skolemizes_once;
+          Alcotest.test_case "Ivy digest ignores earlier runs" `Quick test_ivy_digest_history_free;
         ] );
       ( "front-end",
         [
