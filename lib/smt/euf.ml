@@ -20,12 +20,59 @@ module Sig = Hashtbl.Make (struct
   let hash ((l, cs) : t) = List.fold_left (fun h c -> (h * 65599) + c) l cs land max_int
 end)
 
+(* The signatures of applications with one or two children, keyed on
+   three ints (the second rep is -1 for a unary application) in a flat
+   open-addressing table, so that a lookup allocates nothing.  Slot [s]
+   holds label, reps and node at [4s .. 4s+3] and is live iff
+   [live.(s) = gen]; [clear] starts a new generation. *)
+module Sig2 = struct
+  type t = { mutable keys : int array; mutable live : int array; mutable gen : int; mutable count : int }
+
+  let create n = { keys = Array.make (4 * n) 0; live = Array.make n 0; gen = 1; count = 0 }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.count <- 0
+
+  let rec probe t l c1 c2 n i =
+    let k = 4 * i in
+    if t.live.(i) <> t.gen then begin
+      t.live.(i) <- t.gen;
+      t.keys.(k) <- l;
+      t.keys.(k + 1) <- c1;
+      t.keys.(k + 2) <- c2;
+      t.keys.(k + 3) <- n;
+      t.count <- t.count + 1;
+      -1
+    end
+    else if t.keys.(k) = l && t.keys.(k + 1) = c1 && t.keys.(k + 2) = c2 then t.keys.(k + 3)
+    else probe t l c1 c2 n ((i + 1) land (Array.length t.live - 1))
+
+  (* The node stored under the key, or -1 after storing [n] under it. *)
+  let rec find_or_add t l c1 c2 n =
+    if 2 * (t.count + 1) > Array.length t.live then grow t;
+    let h = (((l * 1_000_003) + c1) * 1_000_003) + c2 in
+    probe t l c1 c2 n (((h * 0x9E3779B1) lsr 16) land (Array.length t.live - 1))
+
+  and grow t =
+    let keys = t.keys and live = t.live and gen = t.gen in
+    let cap = 2 * Array.length live in
+    t.keys <- Array.make (4 * cap) 0;
+    t.live <- Array.make cap 0;
+    t.count <- 0;
+    Array.iteri
+      (fun s g ->
+        if g = gen then
+          ignore (find_or_add t keys.(4 * s) keys.((4 * s) + 1) keys.((4 * s) + 2) keys.((4 * s) + 3)))
+      live
+end
+
 type t = {
   (* The node table: grows for the life of the instance and survives
      [reset]. *)
   mutable nodes : int; (* node count *)
   term_of : Term.t Vbase.Vecbuf.t; (* node id -> term *)
-  node_of : (int, int) Hashtbl.t; (* term tid -> node id *)
+  node_of : int Term.Id_tbl.t; (* term tid -> node id *)
   app_info : (int * int list) Vbase.Vecbuf.t; (* node -> (label, children); (-1,[]) for leaves *)
   (* Per-round state, cleared by [reset].  Only nodes below [active] take
      part; [activate] brings nodes in, in id order. *)
@@ -36,7 +83,8 @@ type t = {
   mutable proof_label : edge_label array;
   mutable use_list : int list array; (* class rep -> app nodes using it *)
   mutable members : int list array; (* class rep -> member nodes *)
-  sig_table : int Sig.t; (* signature -> app node *)
+  sig_table : int Sig.t; (* signature -> app node, three children or more *)
+  sig2 : Sig2.t; (* the same, one or two children *)
   mutable diseqs : (int * int * int) list; (* (node, node, reason) *)
   pending : (int * int * edge_label) Queue.t;
 }
@@ -45,7 +93,7 @@ let create () =
   {
     nodes = 0;
     term_of = Vbase.Vecbuf.create ~dummy:Term.tru;
-    node_of = Hashtbl.create 64;
+    node_of = Term.Id_tbl.create 64;
     app_info = Vbase.Vecbuf.create ~dummy:(-1, []);
     active = 0;
     uf = Array.make 64 0;
@@ -55,6 +103,7 @@ let create () =
     use_list = Array.make 64 [];
     members = Array.make 64 [];
     sig_table = Sig.create 64;
+    sig2 = Sig2.create 64;
     diseqs = [];
     pending = Queue.create ();
   }
@@ -62,6 +111,7 @@ let create () =
 let reset t =
   t.active <- 0;
   Sig.clear t.sig_table;
+  Sig2.clear t.sig2;
   t.diseqs <- [];
   Queue.clear t.pending
 
@@ -87,6 +137,25 @@ let rec find t i = if t.uf.(i) = i then i else
     t.uf.(i) <- r;
     r
 
+(* Enter application [app]'s signature under its children's current
+   classes; if another application already holds it, queue their
+   congruence unless they are already equal. *)
+let enter_sig t app label children =
+  let existing =
+    match children with
+    | [ c ] -> Sig2.find_or_add t.sig2 label (find t c) (-1) app
+    | [ c1; c2 ] -> Sig2.find_or_add t.sig2 label (find t c1) (find t c2) app
+    | _ -> (
+      let key = (label, List.map (find t) children) in
+      match Sig.find_opt t.sig_table key with
+      | Some existing -> existing
+      | None ->
+        Sig.add t.sig_table key app;
+        -1)
+  in
+  if existing >= 0 && find t existing <> find t app then
+    Queue.push (app, existing, Congruence (app, existing)) t.pending
+
 (* Bring node [n] into the round as a singleton class; an application
    joins the signature table (or queues its congruence) and the use lists
    of its children's classes.  Children have smaller ids, so they are
@@ -101,12 +170,7 @@ let activate_node t n =
   match Vbase.Vecbuf.get t.app_info n with
   | -1, [] -> ()
   | label, children ->
-    let key = (label, List.map (find t) children) in
-    (match Sig.find_opt t.sig_table key with
-    | Some existing when find t existing <> find t n ->
-      Queue.push (n, existing, Congruence (n, existing)) t.pending
-    | Some _ -> ()
-    | None -> Sig.add t.sig_table key n);
+    enter_sig t n label children;
     List.iter (fun c -> let r = find t c in t.use_list.(r) <- n :: t.use_list.(r)) children
 
 let activate t n =
@@ -122,7 +186,7 @@ let size t = t.nodes
    replaying a round's registrations after [reset] rebuilds that round's
    state exactly. *)
 let rec node t tm =
-  match Hashtbl.find_opt t.node_of (Term.hash tm) with
+  match Term.Id_tbl.find_opt t.node_of (Term.hash tm) with
   | Some n ->
     activate t (n + 1);
     n
@@ -139,13 +203,13 @@ let rec node t tm =
     ensure_capacity t t.nodes;
     Vbase.Vecbuf.push t.term_of tm;
     Vbase.Vecbuf.push t.app_info info;
-    Hashtbl.add t.node_of (Term.hash tm) n;
+    Term.Id_tbl.add t.node_of (Term.hash tm) n;
     activate t (n + 1);
     n
 
 (* The node of a term registered and active this round. *)
 let lookup t tm =
-  match Hashtbl.find_opt t.node_of (Term.hash tm) with
+  match Term.Id_tbl.find_opt t.node_of (Term.hash tm) with
   | Some n when n < t.active -> Some n
   | _ -> None
 
@@ -189,13 +253,8 @@ and do_merge t a b label =
     t.use_list.(small) <- [];
     List.iter
       (fun app ->
-        let label_app, children = Vbase.Vecbuf.get t.app_info app in
-        let key = (label_app, List.map (find t) children) in
-        match Sig.find_opt t.sig_table key with
-        | Some existing when find t existing <> find t app ->
-          Queue.push (app, existing, Congruence (app, existing)) t.pending
-        | Some _ -> ()
-        | None -> Sig.add t.sig_table key app)
+        let label, children = Vbase.Vecbuf.get t.app_info app in
+        enter_sig t app label children)
       uses;
     t.use_list.(big) <- List.rev_append uses t.use_list.(big)
   end
@@ -285,9 +344,10 @@ let check t =
 
 let iter_classes t f =
   for r = 0 to t.active - 1 do
-    if find t r = r then
-      f (List.map (fun n -> Vbase.Vecbuf.get t.term_of n) t.members.(r))
+    if find t r = r then f t.members.(r)
   done
+
+let term t n = Vbase.Vecbuf.get t.term_of n
 
 let class_id t tm = Option.map (find t) (lookup t tm)
 

@@ -69,9 +69,13 @@ val explain : t -> Term.t -> Term.t -> int list
     same class.  Undefined behaviour if they are not equal; [Invalid_argument]
     if either is not active. *)
 
-val iter_classes : t -> (Term.t list -> unit) -> unit
-(** Iterates over the round's equivalence classes (each as a list of
-    active terms); used for cross-theory equality propagation. *)
+val iter_classes : t -> (int list -> unit) -> unit
+(** Iterates over the round's equivalence classes, each as the list of its
+    active node ids ({!term} maps one back to its term); used for
+    cross-theory equality propagation. *)
+
+val term : t -> int -> Term.t
+(** The term registered as a node. *)
 
 val class_id : t -> Term.t -> int option
 (** Canonical class id of an active term ([None] otherwise); registers

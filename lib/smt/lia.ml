@@ -1,7 +1,6 @@
 module Rat = Vbase.Rat
 module Bigint = Vbase.Bigint
-
-type bound = { value : Rat.t; reason : int }
+module Tbl = Term.Id_tbl
 
 type verdict = Sat | Conflict of int list | Unknown
 
@@ -18,13 +17,21 @@ type centry = {
 
 type t = {
   mutable nvars : int;
-  mutable lower : bound option array;
-  mutable upper : bound option array;
+  (* Bounds, flat: variable [x] has a lower bound iff [lo_reason.(x) <>
+     no_bound], and then it is [lo_value.(x)], asserted under that reason;
+     likewise above.  A value without its reason is stale. *)
+  mutable lo_value : Rat.t array;
+  mutable lo_reason : int array;
+  mutable up_value : Rat.t array;
+  mutable up_reason : int array;
   mutable beta : Rat.t array;
   mutable is_basic : bool array;
-  rows : (int, (int, Rat.t) Hashtbl.t) Hashtbl.t; (* basic var -> row over nonbasics *)
-  cols : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* nonbasic var -> rows that mention it *)
-  var_by_term : (int, int) Hashtbl.t; (* term tid -> var *)
+  (* The tableau.  Nothing depends on the order its tables iterate in:
+     pivot candidates go by smallest index, conflict rows are sorted, and
+     the rest only sums exactly. *)
+  rows : Rat.t Tbl.t Tbl.t; (* basic var -> row over nonbasics *)
+  cols : unit Tbl.t Tbl.t; (* nonbasic var -> rows that mention it *)
+  var_by_term : int Tbl.t; (* term tid -> var *)
   slack_by_key : ((int * Bigint.t) list, int) Hashtbl.t; (* canonical lin form -> slack var *)
   slack_form : (int, (int * Bigint.t) list) Hashtbl.t; (* inverse of slack_by_key *)
   mutable conflict : int list option; (* detected during assertion *)
@@ -37,16 +44,22 @@ type t = {
          Farkas witness (branch-and-bound unions, gcd elimination) *)
 }
 
+(* The reason slot of a missing bound; real reasons are atom indices and
+   small negative internal tags. *)
+let no_bound = min_int
+
 let create () =
   {
     nvars = 0;
-    lower = Array.make 32 None;
-    upper = Array.make 32 None;
+    lo_value = Array.make 32 Rat.zero;
+    lo_reason = Array.make 32 no_bound;
+    up_value = Array.make 32 Rat.zero;
+    up_reason = Array.make 32 no_bound;
     beta = Array.make 32 Rat.zero;
     is_basic = Array.make 32 false;
-    rows = Hashtbl.create 32;
-    cols = Hashtbl.create 32;
-    var_by_term = Hashtbl.create 32;
+    rows = Tbl.create 32;
+    cols = Tbl.create 32;
+    var_by_term = Tbl.create 32;
     slack_by_key = Hashtbl.create 32;
     slack_form = Hashtbl.create 32;
     conflict = None;
@@ -98,8 +111,10 @@ let ensure_capacity t n =
       Array.blit a 0 b 0 cap;
       b
     in
-    t.lower <- grow t.lower None;
-    t.upper <- grow t.upper None;
+    t.lo_value <- grow t.lo_value Rat.zero;
+    t.lo_reason <- grow t.lo_reason no_bound;
+    t.up_value <- grow t.up_value Rat.zero;
+    t.up_reason <- grow t.up_reason no_bound;
     t.beta <- grow t.beta Rat.zero;
     t.is_basic <- grow t.is_basic false
   end
@@ -108,28 +123,28 @@ let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   ensure_capacity t t.nvars;
-  t.lower.(v) <- None;
-  t.upper.(v) <- None;
+  t.lo_reason.(v) <- no_bound;
+  t.up_reason.(v) <- no_bound;
   t.beta.(v) <- Rat.zero;
   t.is_basic.(v) <- false;
   v
 
 let var_of_term t tm =
-  match Hashtbl.find_opt t.var_by_term (Term.hash tm) with
+  match Tbl.find_opt t.var_by_term (Term.hash tm) with
   | Some v -> v
   | None ->
     let v = new_var t in
-    Hashtbl.add t.var_by_term (Term.hash tm) v;
+    Tbl.add t.var_by_term (Term.hash tm) v;
     v
 
-let find_var t tm = Hashtbl.find_opt t.var_by_term (Term.hash tm)
+let find_var t tm = Tbl.find_opt t.var_by_term (Term.hash tm)
 
 (* Reset for a fresh round of bound assertions: keeps variables, the
    tableau and the slack-form cache (the expensive parts), drops bounds,
    recorded equations and any assertion-time conflict. *)
 let reset_bounds t =
-  Array.fill t.lower 0 t.nvars None;
-  Array.fill t.upper 0 t.nvars None;
+  Array.fill t.lo_reason 0 t.nvars no_bound;
+  Array.fill t.up_reason 0 t.nvars no_bound;
   t.conflict <- None;
   t.equations <- [];
   t.last_cert <- None
@@ -137,62 +152,62 @@ let reset_bounds t =
 (* --- tableau ---------------------------------------------------------- *)
 
 let col_of t v =
-  match Hashtbl.find_opt t.cols v with
+  match Tbl.find_opt t.cols v with
   | Some c -> c
   | None ->
-    let c = Hashtbl.create 8 in
-    Hashtbl.add t.cols v c;
+    let c = Tbl.create 8 in
+    Tbl.add t.cols v c;
     c
 
 (* Install [row] (over nonbasic vars) as the definition of basic var [b]. *)
 let install_row t b row =
-  Hashtbl.replace t.rows b row;
+  Tbl.replace t.rows b row;
   t.is_basic.(b) <- true;
-  Hashtbl.iter (fun v _ -> Hashtbl.replace (col_of t v) b ()) row
+  Tbl.iter (fun v _ -> Tbl.replace (col_of t v) b ()) row
 
 (* beta of a linear form over current beta. *)
 let eval_row t row =
-  Hashtbl.fold (fun v c acc -> Rat.add acc (Rat.mul c t.beta.(v))) row Rat.zero
+  Tbl.fold (fun v c acc -> Rat.add acc (Rat.mul c t.beta.(v))) row Rat.zero
 
 (* Pivot basic variable [bi] with nonbasic [nj]. *)
 let pivot t bi nj =
-  let row = Hashtbl.find t.rows bi in
-  let a_ij = Hashtbl.find row nj in
+  let row = Tbl.find t.rows bi in
+  let a_ij = Tbl.find row nj in
   (* xj = (xi - sum_{k<>j} a_ik xk) / a_ij *)
-  let new_row = Hashtbl.create (Hashtbl.length row) in
-  Hashtbl.iter
-    (fun v c -> if v <> nj then Hashtbl.replace new_row v (Rat.neg (Rat.div c a_ij)))
+  let new_row = Tbl.create (Tbl.length row) in
+  Tbl.iter
+    (fun v c -> if v <> nj then Tbl.replace new_row v (Rat.neg (Rat.div c a_ij)))
     row;
-  Hashtbl.replace new_row bi (Rat.div Rat.one a_ij);
+  Tbl.replace new_row bi (Rat.div Rat.one a_ij);
   (* Remove the old row. *)
-  Hashtbl.remove t.rows bi;
+  Tbl.remove t.rows bi;
   t.is_basic.(bi) <- false;
-  Hashtbl.iter (fun v _ -> match Hashtbl.find_opt t.cols v with
-      | Some c -> Hashtbl.remove c bi
+  Tbl.iter (fun v _ -> match Tbl.find_opt t.cols v with
+      | Some c -> Tbl.remove c bi
       | None -> ()) row;
   (* Substitute xj := new_row into every other row that mentions xj. *)
-  let mentioning = match Hashtbl.find_opt t.cols nj with Some c -> Hashtbl.fold (fun b () acc -> b :: acc) c [] | None -> [] in
+  let mentioning = match Tbl.find_opt t.cols nj with Some c -> Tbl.fold (fun b () acc -> b :: acc) c [] | None -> [] in
   List.iter
     (fun bk ->
-      match Hashtbl.find_opt t.rows bk with
+      match Tbl.find_opt t.rows bk with
       | None -> ()
       | Some rk ->
-        (match Hashtbl.find_opt rk nj with
+        (match Tbl.find_opt rk nj with
         | None -> ()
         | Some a_kj ->
-          Hashtbl.remove rk nj;
-          (match Hashtbl.find_opt t.cols nj with Some c -> Hashtbl.remove c bk | None -> ());
-          Hashtbl.iter
+          Tbl.remove rk nj;
+          (match Tbl.find_opt t.cols nj with Some c -> Tbl.remove c bk | None -> ());
+          Tbl.iter
             (fun v c ->
-              let cur = match Hashtbl.find_opt rk v with Some x -> x | None -> Rat.zero in
+              let cur = match Tbl.find_opt rk v with Some x -> x | None -> Rat.zero in
               let nc = Rat.add cur (Rat.mul a_kj c) in
               if Rat.is_zero nc then begin
-                Hashtbl.remove rk v;
-                match Hashtbl.find_opt t.cols v with Some col -> Hashtbl.remove col bk | None -> ()
+                Tbl.remove rk v;
+                match Tbl.find_opt t.cols v with Some col -> Tbl.remove col bk | None -> ()
               end
               else begin
-                Hashtbl.replace rk v nc;
-                Hashtbl.replace (col_of t v) bk ()
+                Tbl.replace rk v nc;
+                Tbl.replace (col_of t v) bk ()
               end)
             new_row))
     mentioning;
@@ -203,14 +218,14 @@ let update_nonbasic t x v =
   let delta = Rat.sub v t.beta.(x) in
   if not (Rat.is_zero delta) then begin
     t.beta.(x) <- v;
-    match Hashtbl.find_opt t.cols x with
+    match Tbl.find_opt t.cols x with
     | None -> ()
     | Some col ->
-      Hashtbl.iter
+      Tbl.iter
         (fun b () ->
-          match Hashtbl.find_opt t.rows b with
+          match Tbl.find_opt t.rows b with
           | Some row -> (
-            match Hashtbl.find_opt row x with
+            match Tbl.find_opt row x with
             | Some c -> t.beta.(b) <- Rat.add t.beta.(b) (Rat.mul c delta)
             | None -> ())
           | None -> ())
@@ -219,20 +234,20 @@ let update_nonbasic t x v =
 
 (* pivotAndUpdate from Dutertre-de Moura. *)
 let pivot_and_update t bi nj v =
-  let row = Hashtbl.find t.rows bi in
-  let a_ij = Hashtbl.find row nj in
+  let row = Tbl.find t.rows bi in
+  let a_ij = Tbl.find row nj in
   let theta = Rat.div (Rat.sub v t.beta.(bi)) a_ij in
   t.beta.(bi) <- v;
   t.beta.(nj) <- Rat.add t.beta.(nj) theta;
-  (match Hashtbl.find_opt t.cols nj with
+  (match Tbl.find_opt t.cols nj with
   | None -> ()
   | Some col ->
-    Hashtbl.iter
+    Tbl.iter
       (fun bk () ->
         if bk <> bi then
-          match Hashtbl.find_opt t.rows bk with
+          match Tbl.find_opt t.rows bk with
           | Some rk -> (
-            match Hashtbl.find_opt rk nj with
+            match Tbl.find_opt rk nj with
             | Some a_kj -> t.beta.(bk) <- Rat.add t.beta.(bk) (Rat.mul a_kj theta)
             | None -> ())
           | None -> ())
@@ -241,42 +256,43 @@ let pivot_and_update t bi nj v =
 
 (* --- bounds ----------------------------------------------------------- *)
 
+let has_lower t x = t.lo_reason.(x) <> no_bound
+let has_upper t x = t.up_reason.(x) <> no_bound
+
 let assert_lower t x value reason =
-  if t.conflict = None then begin
-    match t.upper.(x) with
-    | Some ub when Rat.compare value ub.value > 0 ->
+  if Option.is_none t.conflict then begin
+    if has_upper t x && Rat.compare value t.up_value.(x) > 0 then begin
       set_cert t
         [
           centry_of_bound t ~reason ~lambda:Rat.one ~v:x ~is_upper:false ~bound:value;
-          centry_of_bound t ~reason:ub.reason ~lambda:Rat.one ~v:x ~is_upper:true
-            ~bound:ub.value;
+          centry_of_bound t ~reason:t.up_reason.(x) ~lambda:Rat.one ~v:x ~is_upper:true
+            ~bound:t.up_value.(x);
         ];
-      t.conflict <- Some [ reason; ub.reason ]
-    | _ -> (
-      match t.lower.(x) with
-      | Some lb when Rat.compare lb.value value >= 0 -> ()
-      | _ ->
-        t.lower.(x) <- Some { value; reason };
-        if (not t.is_basic.(x)) && Rat.compare t.beta.(x) value < 0 then update_nonbasic t x value)
+      t.conflict <- Some [ reason; t.up_reason.(x) ]
+    end
+    else if not (has_lower t x && Rat.compare t.lo_value.(x) value >= 0) then begin
+      t.lo_value.(x) <- value;
+      t.lo_reason.(x) <- reason;
+      if (not t.is_basic.(x)) && Rat.compare t.beta.(x) value < 0 then update_nonbasic t x value
+    end
   end
 
 let assert_upper t x value reason =
-  if t.conflict = None then begin
-    match t.lower.(x) with
-    | Some lb when Rat.compare value lb.value < 0 ->
+  if Option.is_none t.conflict then begin
+    if has_lower t x && Rat.compare value t.lo_value.(x) < 0 then begin
       set_cert t
         [
           centry_of_bound t ~reason ~lambda:Rat.one ~v:x ~is_upper:true ~bound:value;
-          centry_of_bound t ~reason:lb.reason ~lambda:Rat.one ~v:x ~is_upper:false
-            ~bound:lb.value;
+          centry_of_bound t ~reason:t.lo_reason.(x) ~lambda:Rat.one ~v:x ~is_upper:false
+            ~bound:t.lo_value.(x);
         ];
-      t.conflict <- Some [ reason; lb.reason ]
-    | _ -> (
-      match t.upper.(x) with
-      | Some ub when Rat.compare ub.value value <= 0 -> ()
-      | _ ->
-        t.upper.(x) <- Some { value; reason };
-        if (not t.is_basic.(x)) && Rat.compare t.beta.(x) value > 0 then update_nonbasic t x value)
+      t.conflict <- Some [ reason; t.lo_reason.(x) ]
+    end
+    else if not (has_upper t x && Rat.compare t.up_value.(x) value <= 0) then begin
+      t.up_value.(x) <- value;
+      t.up_reason.(x) <- reason;
+      if (not t.is_basic.(x)) && Rat.compare t.beta.(x) value > 0 then update_nonbasic t x value
+    end
   end
 
 (* --- linear forms ------------------------------------------------------ *)
@@ -334,22 +350,22 @@ let form_var t ints =
       let s = new_var t in
       Hashtbl.add t.slack_by_key key s;
       Hashtbl.add t.slack_form s key;
-      let row = Hashtbl.create 8 in
+      let row = Tbl.create 8 in
       List.iter
         (fun (v, c) ->
           (* If v is itself basic, substitute its row. *)
           let c = Rat.of_bigint c in
           if t.is_basic.(v) then
-            Hashtbl.iter
+            Tbl.iter
               (fun u cu ->
-                let cur = match Hashtbl.find_opt row u with Some x -> x | None -> Rat.zero in
+                let cur = match Tbl.find_opt row u with Some x -> x | None -> Rat.zero in
                 let nc = Rat.add cur (Rat.mul c cu) in
-                if Rat.is_zero nc then Hashtbl.remove row u else Hashtbl.replace row u nc)
-              (Hashtbl.find t.rows v)
+                if Rat.is_zero nc then Tbl.remove row u else Tbl.replace row u nc)
+              (Tbl.find t.rows v)
           else begin
-            let cur = match Hashtbl.find_opt row v with Some x -> x | None -> Rat.zero in
+            let cur = match Tbl.find_opt row v with Some x -> x | None -> Rat.zero in
             let nc = Rat.add cur c in
-            if Rat.is_zero nc then Hashtbl.remove row v else Hashtbl.replace row v nc
+            if Rat.is_zero nc then Tbl.remove row v else Tbl.replace row v nc
           end)
         ints;
       install_row t s row;
@@ -419,7 +435,7 @@ let prepare_eq t coeffs c =
   up :: lo :: eq
 
 let assert_prepared t (p : prepared) ~reason =
-  if t.conflict = None then begin
+  if Option.is_none t.conflict then begin
     match p with
     | P_const b ->
       if Rat.sign b < 0 then begin
@@ -506,18 +522,15 @@ let eliminate_equations t =
 
 exception Found of int
 
+(* Smallest-index basic variable outside its bounds (Bland's rule). *)
 let find_violating t =
-  (* Smallest-index violating basic var (Bland's rule). *)
   try
     for v = 0 to t.nvars - 1 do
-      if t.is_basic.(v) then begin
-        (match t.lower.(v) with
-        | Some lb when Rat.compare t.beta.(v) lb.value < 0 -> raise (Found v)
-        | _ -> ());
-        match t.upper.(v) with
-        | Some ub when Rat.compare t.beta.(v) ub.value > 0 -> raise (Found v)
-        | _ -> ()
-      end
+      if
+        t.is_basic.(v)
+        && ((has_lower t v && Rat.compare t.beta.(v) t.lo_value.(v) < 0)
+           || (has_upper t v && Rat.compare t.beta.(v) t.up_value.(v) > 0))
+      then raise (Found v)
     done;
     None
   with Found v -> Some v
@@ -527,54 +540,37 @@ let simplex_check t =
     match find_violating t with
     | None -> Sat
     | Some bi ->
-      let row = Hashtbl.find t.rows bi in
-      let below =
-        match t.lower.(bi) with
-        | Some lb when Rat.compare t.beta.(bi) lb.value < 0 -> true
-        | _ -> false
+      let row = Tbl.find t.rows bi in
+      let below = has_lower t bi && Rat.compare t.beta.(bi) t.lo_value.(bi) < 0 in
+      let target = if below then t.lo_value.(bi) else t.up_value.(bi) in
+      let own_reason = if below then t.lo_reason.(bi) else t.up_reason.(bi) in
+      (* Moving [bi] toward [target] through a row entry [a * xj] moves
+         [xj] up (against its upper bound) when this holds, else down. *)
+      let wants_upper a = if below then Rat.sign a > 0 else Rat.sign a < 0 in
+      let can_move xj a =
+        Rat.sign a <> 0
+        &&
+        if wants_upper a then
+          (not (has_upper t xj)) || Rat.compare t.beta.(xj) t.up_value.(xj) < 0
+        else (not (has_lower t xj)) || Rat.compare t.beta.(xj) t.lo_value.(xj) > 0
       in
-      let target, own_reason =
-        if below then
-          let lb = Option.get t.lower.(bi) in
-          (lb.value, lb.reason)
-        else
-          let ub = Option.get t.upper.(bi) in
-          (ub.value, ub.reason)
-      in
-      (* Need to increase bi if below, decrease if above. *)
-      let entries = Hashtbl.fold (fun v c acc -> (v, c) :: acc) row [] in
-      let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+      (* The smallest-index entry that can move. *)
       let candidate =
-        List.find_opt
-          (fun (xj, a) ->
-            let can_increase =
-              match t.upper.(xj) with
-              | Some ub -> Rat.compare t.beta.(xj) ub.value < 0
-              | None -> true
-            in
-            let can_decrease =
-              match t.lower.(xj) with
-              | Some lb -> Rat.compare t.beta.(xj) lb.value > 0
-              | None -> true
-            in
-            if below then (Rat.sign a > 0 && can_increase) || (Rat.sign a < 0 && can_decrease)
-            else (Rat.sign a > 0 && can_decrease) || (Rat.sign a < 0 && can_increase))
-          entries
+        Tbl.fold (fun xj a best -> if xj < best && can_move xj a then xj else best) row max_int
       in
-      (match candidate with
-      | Some (xj, _) ->
-        pivot_and_update t bi xj target;
+      if candidate < max_int then begin
+        pivot_and_update t bi candidate target;
         loop ()
-      | None ->
+      end
+      else begin
         (* Infeasible: core from the bounds blocking each row var. *)
-        let core =
-          List.filter_map
-            (fun (xj, a) ->
-              let want_upper = if below then Rat.sign a > 0 else Rat.sign a < 0 in
-              if want_upper then Option.map (fun (b : bound) -> b.reason) t.upper.(xj)
-              else Option.map (fun (b : bound) -> b.reason) t.lower.(xj))
-            entries
+        let entries = Tbl.fold (fun v c acc -> (v, c) :: acc) row [] in
+        let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+        let blocking_reason (xj, a) =
+          let r = if wants_upper a then t.up_reason.(xj) else t.lo_reason.(xj) in
+          if r = no_bound then None else Some r
         in
+        let core = List.filter_map blocking_reason entries in
         (if t.certify then begin
            (* Farkas witness: the violated bound of [bi] with multiplier 1
               plus each blocking bound with multiplier |a|; the row
@@ -585,30 +581,38 @@ let simplex_check t =
            in
            let rest =
              List.filter_map
-               (fun (xj, a) ->
-                 let want_upper = if below then Rat.sign a > 0 else Rat.sign a < 0 in
-                 let blocking = if want_upper then t.upper.(xj) else t.lower.(xj) in
+               (fun ((xj, a) as e) ->
                  Option.map
-                   (fun (b : bound) ->
-                     centry_of_bound t ~reason:b.reason ~lambda:(Rat.abs a) ~v:xj
-                       ~is_upper:want_upper ~bound:b.value)
-                   blocking)
+                   (fun reason ->
+                     let want_upper = wants_upper a in
+                     centry_of_bound t ~reason ~lambda:(Rat.abs a) ~v:xj ~is_upper:want_upper
+                       ~bound:(if want_upper then t.up_value.(xj) else t.lo_value.(xj)))
+                   (blocking_reason e))
                entries
            in
            if List.length rest = List.length entries then set_cert t (own :: rest)
            else clear_cert t
          end);
-        Conflict (List.sort_uniq compare (own_reason :: core)))
+        Conflict (List.sort_uniq compare (own_reason :: core))
+      end
   in
   loop ()
 
 (* --- integrality (branch and bound) ------------------------------------ *)
 
-let save_bounds t = (Array.sub t.lower 0 t.nvars, Array.sub t.upper 0 t.nvars)
+let save_bounds t =
+  let n = t.nvars in
+  ( Array.sub t.lo_value 0 n,
+    Array.sub t.lo_reason 0 n,
+    Array.sub t.up_value 0 n,
+    Array.sub t.up_reason 0 n )
 
-let restore_bounds t (lo, up) =
-  Array.blit lo 0 t.lower 0 (Array.length lo);
-  Array.blit up 0 t.upper 0 (Array.length up)
+let restore_bounds t (lo_value, lo_reason, up_value, up_reason) =
+  let n = Array.length lo_value in
+  Array.blit lo_value 0 t.lo_value 0 n;
+  Array.blit lo_reason 0 t.lo_reason 0 n;
+  Array.blit up_value 0 t.up_value 0 n;
+  Array.blit up_reason 0 t.up_reason 0 n
 
 let find_fractional t =
   try
@@ -686,4 +690,4 @@ let check ?(max_branch = 2000) t =
 let model_value t v = t.beta.(v)
 
 let tableau_consistent t =
-  Hashtbl.fold (fun b row ok -> ok && Rat.equal t.beta.(b) (eval_row t row)) t.rows true
+  Tbl.fold (fun b row ok -> ok && Rat.equal t.beta.(b) (eval_row t row)) t.rows true

@@ -99,9 +99,16 @@ type state = {
   atoms : atom Vbase.Vecbuf.t; (* theory atoms in creation order; only grows *)
   forms : atom_form Vbase.Vecbuf.t; (* forms.(i) belongs to atoms.(i) *)
   quant_guard : (int, int) Hashtbl.t; (* forall tid -> guard SAT literal *)
-  eq_split_done : (int, unit) Hashtbl.t; (* Eq atom tid -> split lemma added *)
-  comb_pairs_done : (int * int, unit) Hashtbl.t;
-  euf_prop_done : (int * int, unit) Hashtbl.t; (* EUF->LIA propagation lemmas *)
+  eq_split_done : unit Term.Id_tbl.t; (* Eq atom tid -> split lemma added *)
+  comb_pairs_done : unit Term.Id_tbl.t; (* [pair_key] of term pairs split by combination *)
+  (* Theory combination's applications by symbol id, newest first, from
+     the atoms below [comb_atoms], and the set of their term ids: an
+     atom's applications never change, so adding each atom's once gives
+     every round the table (insertion order included) it would build
+     from scratch. *)
+  comb_by_sym : (int, Term.t list ref) Hashtbl.t;
+  comb_seen : unit Term.Id_tbl.t;
+  mutable comb_atoms : int;
   proxy_of : (int, Term.t) Hashtbl.t; (* purification proxies by tid *)
   divmod_of : (int, Term.t * Term.t) Hashtbl.t; (* Idiv/Imod tid -> (q, r) *)
   ite_of : (int, Term.t) Hashtbl.t;
@@ -153,9 +160,11 @@ let create_state cfg =
       Vbase.Vecbuf.create
         ~dummy:{ tid = -1; mark = 0; role = Euf_none; apps = []; prep_pos = None; prep_neg = None };
     quant_guard = Hashtbl.create 16;
-    eq_split_done = Hashtbl.create 16;
-    comb_pairs_done = Hashtbl.create 16;
-    euf_prop_done = Hashtbl.create 16;
+    eq_split_done = Term.Id_tbl.create 16;
+    comb_pairs_done = Term.Id_tbl.create 16;
+    comb_by_sym = Hashtbl.create 64;
+    comb_seen = Term.Id_tbl.create 256;
+    comb_atoms = 0;
     proxy_of = Hashtbl.create 64;
     divmod_of = Hashtbl.create 16;
     ite_of = Hashtbl.create 16;
@@ -489,6 +498,17 @@ let rec linearize (t : Term.t) : (Rat.t * Term.t) list * Rat.t =
     | _ -> ([ (Rat.one, t) ], Rat.zero))
   | _ -> ([ (Rat.one, t) ], Rat.zero)
 
+(* An unordered pair of terms as one [Term.Id_tbl] key.  Ids count live
+   hash-consed terms, so they stay far below 2^31. *)
+let pair_key (x : Term.t) (y : Term.t) =
+  let a = Term.hash x and b = Term.hash y in
+  let lo = min a b and hi = max a b in
+  assert (hi < 1 lsl 31);
+  (lo lsl 31) lor hi
+
+(* Raised by theory combination's candidate scan at the pair it splits. *)
+exception Split of Term.t * Term.t
+
 type round_outcome =
   | R_continue (* lemma/blocking clause added; re-solve *)
   | R_model_ok of Euf.t (* theories agree; the E-graph feeds E-matching *)
@@ -629,20 +649,35 @@ let final_check st =
         Hashtbl.replace st.lin_cache key r;
         r
     in
-    (* Assert the bounds of atom [i] ([a - b] against zero), prepared by
-       [make cs bound] over its linear form [cs . x <= bound] (or [>=]) on
-       first use and kept in its form per polarity. *)
-    let assert_bounds i f (atom : Term.t) a b value make =
-      let ps =
-        match if value then f.prep_pos else f.prep_neg with
-        | Some ps -> ps
-        | None ->
-          let cs, k = linearize_cached a b atom.Term.tid in
-          let ps = make (to_lia_coeffs cs) (Rat.neg k) in
-          if value then f.prep_pos <- Some ps else f.prep_neg <- Some ps;
-          ps
-      in
-      List.iter (fun p -> Lia.assert_prepared lia p ~reason:i) ps
+    (* The LIA bounds of an arithmetic atom ([a - b] against zero) under
+       [value], prepared over its linear form [cs . x <= bound] (or [>=])
+       on first use and kept in its form per polarity. *)
+    let bounds f (atom : Term.t) value =
+      match if value then f.prep_pos else f.prep_neg with
+      | Some ps -> ps
+      | None ->
+        let ps =
+          match atom.Term.node with
+          | Term.Le (a, b) | Term.Lt (a, b) ->
+            let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
+            let cs, k = linearize_cached a b atom.Term.tid in
+            let cs = to_lia_coeffs cs and bound = Rat.neg k in
+            (* value true: sum <= bound (or <); false: negation. *)
+            if value then [ Lia.prepare lia cs bound ~strict ~is_upper:true ]
+            else [ Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false ]
+          | Term.Eq (a, b) when value ->
+            let cs, k = linearize_cached a b atom.Term.tid in
+            Lia.prepare_eq lia (to_lia_coeffs cs) (Rat.neg k)
+          | _ -> invalid_arg "Solver: no LIA bounds for this atom"
+        in
+        if value then f.prep_pos <- Some ps else f.prep_neg <- Some ps;
+        ps
+    in
+    let rec assert_bounds i = function
+      | [] -> ()
+      | p :: ps ->
+        Lia.assert_prepared lia p ~reason:i;
+        assert_bounds i ps
     in
     (* The trichotomy lemma [x = y \/ x < y \/ y < x] over [eq_atom]
        ([x = y]).  Its certificate: the equality pins [cs . x] to exactly
@@ -653,7 +688,7 @@ let final_check st =
       let l_eq = formula_lit st eq_atom in
       let l_lt1 = formula_lit st (Term.lt x y) in
       let l_lt2 = formula_lit st (Term.lt y x) in
-      Hashtbl.replace st.eq_split_done eq_atom.Term.tid ();
+      Term.Id_tbl.replace st.eq_split_done eq_atom.Term.tid ();
       Sat.add_clause st.sat [ l_eq; l_lt1; l_lt2 ];
       justify st (fun () ->
           let bd = Option.get st.cert in
@@ -672,15 +707,10 @@ let final_check st =
       let { term = atom; value; _ } = Vbase.Vecbuf.get atoms i in
       let f = Vbase.Vecbuf.get st.forms i in
       match atom.Term.node with
-      | Term.Le (a, b) | Term.Lt (a, b) ->
-        let strict = match atom.Term.node with Term.Lt _ -> true | _ -> false in
-        (* value true: sum <= bound (or <); false: negation. *)
-        assert_bounds i f atom a b value (fun cs bound ->
-            if value then [ Lia.prepare lia cs bound ~strict ~is_upper:true ]
-            else [ Lia.prepare lia cs bound ~strict:(not strict) ~is_upper:false ])
+      | Term.Le _ | Term.Lt _ -> assert_bounds i (bounds f atom value)
       | Term.Eq (a, b) when Sort.equal a.Term.sort Sort.Int ->
-        if value then assert_bounds i f atom a b true (Lia.prepare_eq lia)
-        else if not (Hashtbl.mem st.eq_split_done atom.Term.tid) then begin
+        if value then assert_bounds i (bounds f atom true)
+        else if not (Term.Id_tbl.mem st.eq_split_done atom.Term.tid) then begin
           (* not (a = b)  ==>  a < b \/ b < a *)
           trichotomy atom a b;
           progress := true
@@ -728,43 +758,41 @@ let final_check st =
           | _ -> Option.map (Lia.model_value lia) (Lia.find_var lia tm)
         in
         (* EUF -> LIA: congruence-implied equalities the arithmetic model
-           misses become lemmas. *)
-        Euf.iter_classes euf (fun members ->
-            let ints =
-              List.filter
-                (fun (m : Term.t) -> Sort.equal m.Term.sort Sort.Int)
-                members
-            in
-            match ints with
-            | [] | [ _ ] -> ()
-            | rep :: rest ->
-              List.iter
-                (fun m ->
-                  if not !lemma_added then begin
-                    match (lia_value rep, lia_value m) with
-                    | Some vr, Some vm when not (Rat.equal vr vm) -> begin
-                      (* explanation => rep = m *)
-                      let expl = Euf.explain euf rep m in
-                      let l_eq = formula_lit st (Term.eq rep m) in
-                      (* Only a real lemma if the equality atom is not
-                         already forced true under this assignment. *)
-                      Sat.add_clause st.sat (l_eq :: blocking expl);
-                      justify st (fun () ->
-                          let bd = Option.get st.cert in
-                          let head = Sat.lit_negate l_eq in
-                          Cert.lit_eq bd head
-                            (false, Cert.intern_term bd rep, Cert.intern_term bd m);
-                          match euf_just bd expl with
-                          | Cert.J_euf lits -> Cert.J_euf (head :: lits)
-                          | j -> j);
-                      if not (Sat.value st.sat (Sat.lit_var l_eq) && l_eq land 1 = 0) then begin
-                        st.n_theory_lemmas <- st.n_theory_lemmas + 1;
-                        lemma_added := true
-                      end
-                    end
-                    | _ -> ()
-                  end)
-                rest);
+           misses become lemmas.  In each class, every later integer
+           member is held against the first. *)
+        let is_int n = Sort.equal (Euf.term euf n).Term.sort Sort.Int in
+        let rec against rep = function
+          | [] -> ()
+          | n :: rest ->
+            (if (not !lemma_added) && is_int n then
+               let m = Euf.term euf n in
+               match (lia_value rep, lia_value m) with
+               | Some vr, Some vm when not (Rat.equal vr vm) ->
+                 (* explanation => rep = m *)
+                 let expl = Euf.explain euf rep m in
+                 let l_eq = formula_lit st (Term.eq rep m) in
+                 (* Only a real lemma if the equality atom is not
+                    already forced true under this assignment. *)
+                 Sat.add_clause st.sat (l_eq :: blocking expl);
+                 justify st (fun () ->
+                     let bd = Option.get st.cert in
+                     let head = Sat.lit_negate l_eq in
+                     Cert.lit_eq bd head (false, Cert.intern_term bd rep, Cert.intern_term bd m);
+                     match euf_just bd expl with
+                     | Cert.J_euf lits -> Cert.J_euf (head :: lits)
+                     | j -> j);
+                 if not (Sat.value st.sat (Sat.lit_var l_eq) && l_eq land 1 = 0) then begin
+                   st.n_theory_lemmas <- st.n_theory_lemmas + 1;
+                   lemma_added := true
+                 end
+               | _ -> ());
+            against rep rest
+        in
+        let rec first_int = function
+          | [] -> ()
+          | n :: rest -> if is_int n then against (Euf.term euf n) rest else first_int rest
+        in
+        Euf.iter_classes euf (fun members -> if not !lemma_added then first_int members);
         (* LIA -> EUF: shared terms with equal model values the congruence
            graph has not merged get a three-way split lemma. *)
         if not !lemma_added then begin
@@ -772,13 +800,12 @@ let final_check st =
              two applications of the same symbol whose classes differ.
              Merging such a pair can fire a congruence; other equalities
              cannot help EUF, so guessing them is wasted work. *)
-          let by_sym : (int, Term.t list ref) Hashtbl.t = Hashtbl.create 64 in
-          let seen = Hashtbl.create 256 in
-          for i = 0 to n_atoms - 1 do
+          let by_sym = st.comb_by_sym and seen = st.comb_seen in
+          for i = st.comb_atoms to n_atoms - 1 do
             List.iter
               (fun (s : Term.t) ->
-                if not (Hashtbl.mem seen s.Term.tid) then begin
-                  Hashtbl.add seen s.Term.tid ();
+                if not (Term.Id_tbl.mem seen s.Term.tid) then begin
+                  Term.Id_tbl.add seen s.Term.tid ();
                   match s.Term.node with
                   | Term.App (f, _) -> (
                     match Hashtbl.find_opt by_sym f.Term.sid with
@@ -788,56 +815,66 @@ let final_check st =
                 end)
               (Vbase.Vecbuf.get st.forms i).apps
           done;
-          let candidate_pairs = ref [] in
-          Hashtbl.iter
-            (fun _ apps ->
-              let arr = Array.of_list !apps in
-              let n = min (Array.length arr) 41 in
-              (* Each application's class, looked up once rather than per
-                 pair; the same test as [Euf.are_equal]. *)
-              let cls = Array.init n (fun i -> Euf.class_id euf arr.(i)) in
-              let same_class i j =
-                match (cls.(i), cls.(j)) with
-                | Some a, Some b -> a = b
-                | _ -> Term.equal arr.(i) arr.(j)
-              in
-              for i = 0 to n - 1 do
-                for j = i + 1 to n - 1 do
-                  if not (same_class i j) then begin
-                    match (arr.(i).Term.node, arr.(j).Term.node) with
-                    | Term.App (_, args1), Term.App (_, args2) ->
-                      List.iter2
-                        (fun a1 a2 ->
-                          if
-                            Sort.equal a1.Term.sort Sort.Int
-                            && (not (Term.equal a1 a2))
-                            && not (Euf.are_equal euf a1 a2)
-                          then candidate_pairs := (a1, a2) :: !candidate_pairs)
-                        args1 args2
-                    | _ -> ()
-                  end
-                done
-              done)
-            by_sym;
-          let budget = ref st.cfg.budget.combination_pairs_per_round in
-          let do_pair (x, y) =
-            if !budget > 0 && not !lemma_added then begin
-              let key = (min (Term.hash x) (Term.hash y), max (Term.hash x) (Term.hash y)) in
-              if not (Hashtbl.mem st.comb_pairs_done key) then begin
-                match (lia_value x, lia_value y) with
-                | Some vx, Some vy when Rat.equal vx vy && not (Euf.are_equal euf x y) ->
-                  Hashtbl.add st.comb_pairs_done key ();
-                  decr budget;
-                  (* This three-way clause subsumes the eq-split lemma
-                     (marked done); don't pay another round for it later. *)
-                  trichotomy (Term.eq x y) x y;
-                  st.n_theory_lemmas <- st.n_theory_lemmas + 1;
-                  lemma_added := true
-                | _ -> ()
-              end
-            end
+          st.comb_atoms <- n_atoms;
+          (* Candidates come from a scan in [by_sym] order, over each
+             symbol's (at most 41 newest) applications [i < j] and their
+             argument positions; the split goes to the last candidate in
+             that order whose arithmetic values are equal and that was not
+             split before.  Scanning in reverse stops at it.  (A round
+             splits at most one pair, so the per-round budget only turns
+             this step off, at 0.) *)
+          let split_candidate x y =
+            (not (Term.Id_tbl.mem st.comb_pairs_done (pair_key x y)))
+            &&
+            match (lia_value x, lia_value y) with
+            | Some vx, Some vy -> Rat.equal vx vy
+            | _ -> false
           in
-          List.iter do_pair !candidate_pairs
+          (* Argument pairs from the last position back. *)
+          let rec scan_args args1 args2 =
+            match (args1, args2) with
+            | (a1 : Term.t) :: r1, a2 :: r2 ->
+              scan_args r1 r2;
+              if
+                Sort.equal a1.Term.sort Sort.Int
+                && (not (Term.equal a1 a2))
+                && (not (Euf.are_equal euf a1 a2))
+                && split_candidate a1 a2
+              then raise (Split (a1, a2))
+            | _ -> ()
+          in
+          let scan_apps apps =
+            let arr = Array.of_list !apps in
+            let n = min (Array.length arr) 41 in
+            (* Each application's class, looked up once rather than per
+               pair; the same test as [Euf.are_equal]. *)
+            let cls = Array.init n (fun i -> Euf.class_id euf arr.(i)) in
+            let same_class i j =
+              match (cls.(i), cls.(j)) with
+              | Some a, Some b -> a = b
+              | _ -> Term.equal arr.(i) arr.(j)
+            in
+            for i = n - 1 downto 0 do
+              for j = n - 1 downto i + 1 do
+                if not (same_class i j) then
+                  match (arr.(i).Term.node, arr.(j).Term.node) with
+                  | Term.App (_, args1), Term.App (_, args2) -> scan_args args1 args2
+                  | _ -> ()
+              done
+            done
+          in
+          if st.cfg.budget.combination_pairs_per_round > 0 then
+            match
+              List.iter scan_apps (Hashtbl.fold (fun _ apps acc -> apps :: acc) by_sym [])
+            with
+            | () -> ()
+            | exception Split (x, y) ->
+              Term.Id_tbl.add st.comb_pairs_done (pair_key x y) ();
+              (* This three-way clause subsumes the eq-split lemma
+                 (marked done); don't pay another round for it later. *)
+              trichotomy (Term.eq x y) x y;
+              st.n_theory_lemmas <- st.n_theory_lemmas + 1;
+              lemma_added := true
         end;
         st.t_comb <- st.t_comb +. (Unix.gettimeofday () -. comb_t0);
         if !lemma_added then R_continue else R_model_ok euf)

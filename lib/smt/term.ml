@@ -191,6 +191,13 @@ let equal a b = a == b
 let compare a b = Stdlib.compare a.tid b.tid
 let hash t = t.tid
 
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 let tru = mk True Sort.Bool
 let fls = mk False Sort.Bool
 let bool_lit b = if b then tru else fls

@@ -132,7 +132,13 @@ val compare : t -> t -> int
 (** Total order by hash-cons id (arbitrary but stable within a run). *)
 
 val hash : t -> int
-(** Hash consistent with {!equal}; O(1). *)
+(** Hash consistent with {!equal}; O(1).  It is the term's hash-cons id,
+    unique among live terms. *)
+
+module Id_tbl : Hashtbl.S with type key = int
+(** Tables keyed by term ids ({!hash}) or other small non-negative ints,
+    with monomorphic hashing and equality: what a solver round's lookups
+    use. *)
 
 val sort_of : t -> Sort.t
 (** The sort a term was constructed at. *)

@@ -21,10 +21,10 @@ let minus_one = of_int (-1)
 
 let neg q = { q with num = Bigint.neg q.num }
 
-let is_int_den q = Bigint.equal q.den Bigint.one
+let is_integer q = Bigint.equal q.den Bigint.one
 
 let add a b =
-  if is_int_den a && is_int_den b then { num = Bigint.add a.num b.num; den = Bigint.one }
+  if is_integer a && is_integer b then { num = Bigint.add a.num b.num; den = Bigint.one }
   else
     make
       (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
@@ -33,24 +33,25 @@ let add a b =
 let sub a b = add a (neg b)
 
 let mul a b =
-  if is_int_den a && is_int_den b then { num = Bigint.mul a.num b.num; den = Bigint.one }
+  if is_integer a && is_integer b then { num = Bigint.mul a.num b.num; den = Bigint.one }
   else make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
 let div a b = make (Bigint.mul a.num b.den) (Bigint.mul a.den b.num)
 let inv q = div one q
 let sign q = Bigint.sign q.num
 let is_zero q = Bigint.is_zero q.num
-let is_integer q = Bigint.equal q.den Bigint.one
 
+(* Denominators are positive, so cross-multiplying keeps the order. *)
 let compare a b =
-  if is_int_den a && is_int_den b then Bigint.compare a.num b.num
-  else Bigint.sign (sub a b).num
-let equal a b = compare a b = 0
+  if is_integer a && is_integer b then Bigint.compare a.num b.num
+  else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+(* Lowest terms with a positive denominator: one representation per value. *)
+let equal a b = Bigint.equal a.num b.num && Bigint.equal a.den b.den
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let abs q = if sign q < 0 then neg q else q
 
-let floor q = Bigint.fdiv q.num q.den
-let ceil q = Bigint.neg (Bigint.fdiv (Bigint.neg q.num) q.den)
+let floor q = if is_integer q then q.num else Bigint.fdiv q.num q.den
+let ceil q = if is_integer q then q.num else Bigint.neg (Bigint.fdiv (Bigint.neg q.num) q.den)
 
 let to_string q =
   if is_integer q then Bigint.to_string q.num

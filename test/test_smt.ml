@@ -434,7 +434,7 @@ let prop_euf_reuse_matches_fresh =
   in
   let classes e =
     let out = ref [] in
-    Euf.iter_classes e (fun ms -> out := List.map (fun (t : T.t) -> t.T.tid) ms :: !out);
+    Euf.iter_classes e (fun ms -> out := List.map (fun n -> (Euf.term e n).T.tid) ms :: !out);
     !out
   in
   let terms =

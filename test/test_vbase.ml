@@ -74,11 +74,27 @@ let test_bigint_bits () =
   Alcotest.(check bool) "testbit 90" true (B.testbit n 90);
   Alcotest.(check bool) "testbit 89" false (B.testbit n 89)
 
+module L = B.Limbs
+
 let test_bigint_to_int () =
   Alcotest.(check (option int)) "small" (Some 42) (B.to_int_opt (bi 42));
   Alcotest.(check (option int)) "neg" (Some (-42)) (B.to_int_opt (bi (-42)));
   Alcotest.(check (option int)) "max_int" (Some max_int) (B.to_int_opt (bi max_int));
-  Alcotest.(check (option int)) "too big" None (B.to_int_opt (B.pow B.two 80))
+  Alcotest.(check (option int)) "too big" None (B.to_int_opt (B.pow B.two 80));
+  (* The low edge, on both paths: the limb form of min_int has magnitude
+     2^62, one past max_int. *)
+  List.iter
+    (fun (name, i) ->
+      Alcotest.(check (option int)) name (Some i) (B.to_int_opt (bi i));
+      Alcotest.(check int) (name ^ " exn") i (B.to_int_exn (bi i));
+      Alcotest.(check (option int)) (name ^ " limbs") (Some i) (L.to_int_opt (L.of_int i));
+      Alcotest.(check int) (name ^ " limbs exn") i (L.to_int_exn (L.of_int i)))
+    [ ("min_int", min_int); ("min_int + 1", min_int + 1); ("-(2^61)", -(1 lsl 61)) ];
+  Alcotest.(check (option int)) "-(2^62) from limbs" (Some min_int)
+    (B.to_int_opt (B.neg (B.pow B.two 62)));
+  Alcotest.(check (option int)) "min_int - 1" None (B.to_int_opt (B.sub (bi min_int) B.one));
+  Alcotest.(check (option int)) "limbs min_int - 1" None
+    (L.to_int_opt (L.sub (L.of_int min_int) L.one))
 
 (* ------------------------------------------------------------------ *)
 (* Bigint property tests (reference: native int on small operands)     *)
@@ -121,6 +137,120 @@ let prop_mul_div_big =
       QCheck.assume (not (B.is_zero b));
       let q, r = B.div_rem (B.mul a b) b in
       B.equal q a && B.is_zero r)
+
+(* ------------------------------------------------------------------ *)
+(* The native path against the limb reference                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Values on both sides of every edge a result can cross: 0, 1, the limb
+   edges 2^30 - 1 and 2^30, 2^31 (past it a native product needs the
+   division check), 2^61, max_int = 2^62 - 1 and 2^62 = -min_int, and
+   values beyond, each with its negation. *)
+let edges =
+  let p k = L.pow L.two k in
+  let l = [ L.zero; L.one; L.sub (p 30) L.one; p 30; p 31; p 61; L.of_int max_int; p 62; p 63; p 90; p 124 ] in
+  l @ List.map L.neg l
+
+(* An operand in decimal: an edge give or take 3, computed by the
+   reference, or any native int. *)
+let operand =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun e d -> L.to_string (L.add e (L.of_int d))) (oneofl edges) (int_range (-3) 3));
+        (1, map string_of_int int);
+      ])
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+(* [b] and the reference [l] hold the same value, with the same hash and
+   the same [to_int_opt], and [b] is canonical: parsing its digits back
+   gives a structurally equal value. *)
+let agree what b l =
+  let sb = B.to_string b and sl = L.to_string l in
+  if sb <> sl then fail "%s: %s, reference %s" what sb sl;
+  if b <> B.of_string sb then fail "%s: %s is not in canonical form" what sb;
+  if B.hash b <> L.hash l then fail "%s: hash of %s differs from the reference" what sb;
+  if B.to_int_opt b <> L.to_int_opt l then fail "%s: to_int_opt of %s differs" what sb
+
+let agree2 what (q, r) (lq, lr) =
+  agree (what ^ " quotient") q lq;
+  agree (what ^ " remainder") r lr
+
+(* Both sides return agreeing results, or raise the same exception. *)
+let agree_or_raise what same f lf =
+  let run f = match f () with v -> Ok v | exception (Division_by_zero | Invalid_argument _ as e) -> Error e in
+  match (run f, run lf) with
+  | Ok v, Ok lv -> same what v lv
+  | Error e, Error le when e = le -> ()
+  | _ -> fail "%s: one side raised, the other did not (or raised another exception)" what
+
+let prop_native_vs_limbs =
+  QCheck.Test.make ~name:"native path matches the limb reference" ~count:1500
+    (QCheck.make
+       ~print:(fun (x, y, k) -> Printf.sprintf "a = %s, b = %s, k = %d" x y k)
+       QCheck.Gen.(triple operand operand (int_range 0 130)))
+    (fun (x, y, k) ->
+      let a = B.of_string x and b = B.of_string y in
+      let la = L.of_string x and lb = L.of_string y in
+      agree "a" a la;
+      agree "b" b lb;
+      agree "add" (B.add a b) (L.add la lb);
+      agree "sub" (B.sub a b) (L.sub la lb);
+      agree "mul" (B.mul a b) (L.mul la lb);
+      agree "neg" (B.neg a) (L.neg la);
+      agree_or_raise "div_rem" agree2 (fun () -> B.div_rem a b) (fun () -> L.div_rem la lb);
+      (* The reference itself, by the division identity: beyond the
+         native range nothing else checks it. *)
+      (if not (L.is_zero lb) then
+         let q, r = L.div_rem la lb in
+         if
+           not
+             (L.equal (L.add (L.mul q lb) r) la
+             && L.compare (L.abs r) (L.abs lb) < 0
+             && (L.is_zero r || L.sign r = L.sign la))
+         then fail "limb div_rem: %s rem %s" (L.to_string q) (L.to_string r));
+      agree_or_raise "ediv_rem" agree2 (fun () -> B.ediv_rem a b) (fun () -> L.ediv_rem la lb);
+      agree_or_raise "fdiv" agree (fun () -> B.fdiv a b) (fun () -> L.fdiv la lb);
+      agree_or_raise "fmod" agree (fun () -> B.fmod a b) (fun () -> L.fmod la lb);
+      agree "gcd" (B.gcd a b) (L.gcd la lb);
+      agree "pow" (B.pow a (k mod 5)) (L.pow la (k mod 5));
+      agree "shift_left" (B.shift_left a k) (L.shift_left la k);
+      agree_or_raise "logand2p" agree (fun () -> B.logand2p a k) (fun () -> L.logand2p la k);
+      agree_or_raise "testbit"
+        (fun what v lv -> if v <> lv then fail "%s: %b, reference %b" what v lv)
+        (fun () -> B.testbit (B.abs a) k)
+        (fun () -> L.testbit (L.abs la) k);
+      if Int.compare (B.compare a b) 0 <> Int.compare (L.compare la lb) 0 then fail "compare";
+      if B.equal a b <> L.equal la lb then fail "equal";
+      true)
+
+(* Rat on operands from both paths, against lowest terms computed with
+   the reference. *)
+let prop_rat_mixed =
+  QCheck.Test.make ~name:"rat matches the limb reference across the threshold" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b, c, d) -> Printf.sprintf "%s/%s, %s/%s" a b c d)
+       QCheck.Gen.(quad operand operand operand operand))
+    (fun (n1, d1, n2, d2) ->
+      QCheck.assume (d1 <> "0" && d2 <> "0");
+      let lowest n d =
+        let g = L.gcd n d in
+        let n = fst (L.div_rem n g) and d = fst (L.div_rem d g) in
+        let n, d = if L.sign d < 0 then (L.neg n, L.neg d) else (n, d) in
+        if L.equal d L.one then L.to_string n else L.to_string n ^ "/" ^ L.to_string d
+      in
+      let r1 = R.make (B.of_string n1) (B.of_string d1) and r2 = R.make (B.of_string n2) (B.of_string d2) in
+      let ln1 = L.of_string n1 and ld1 = L.of_string d1 in
+      let ln2 = L.of_string n2 and ld2 = L.of_string d2 in
+      let same what r s = if R.to_string r <> s then fail "%s: %s, reference %s" what (R.to_string r) s in
+      same "make" r1 (lowest ln1 ld1);
+      same "add" (R.add r1 r2) (lowest (L.add (L.mul ln1 ld2) (L.mul ln2 ld1)) (L.mul ld1 ld2));
+      same "mul" (R.mul r1 r2) (lowest (L.mul ln1 ln2) (L.mul ld1 ld2));
+      (* n1/d1 - n2/d2 has the sign of (n1*d2 - n2*d1) * d1*d2. *)
+      let diff = L.mul (L.sub (L.mul ln1 ld2) (L.mul ln2 ld1)) (L.mul ld1 ld2) in
+      if Int.compare (R.compare r1 r2) 0 <> L.sign diff then fail "compare";
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Rat tests                                                           *)
@@ -445,6 +575,7 @@ let () =
           Alcotest.test_case "to_int" `Quick test_bigint_to_int;
         ] );
       qsuite "bigint-props" [ prop_ring_ops; prop_divrem; prop_string_roundtrip; prop_mul_div_big ];
+      qsuite "bigint-native" [ prop_native_vs_limbs; prop_rat_mixed ];
       ( "rat",
         [
           Alcotest.test_case "basics" `Quick test_rat_basics;

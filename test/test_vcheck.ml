@@ -190,6 +190,47 @@ let test_mutation_perturb_farkas () =
   Alcotest.(check bool) "found a Farkas step to damage" true !mutated;
   expect_reject "perturb-farkas" "CK005" j'
 
+let test_mutation_wrapped_multiplier () =
+  (* [3y <= x], [2^61 <= y], [x <= 3*2^61 - 1]: the refutation weights
+     y's bound by 3, so its products leave the native int range and the
+     kernel's arithmetic crosses into limbs. *)
+  let module B = Vbase.Bigint in
+  let x = icon "wx" and y = icon "wy" in
+  let p61 = B.pow B.two 61 in
+  let c =
+    cert_of
+      [
+        T.le (T.mul (T.int_of 3) y) x;
+        T.le (T.int_lit p61) y;
+        T.le x (T.int_lit (B.sub (B.mul (B.of_int 3) p61) B.one));
+      ]
+  in
+  check_ok "farkas-beyond-native" c;
+  (* Raising that multiplier by exactly 2^63 leaves y uncancelled by
+     2^63, which wrap-around 63-bit arithmetic would not see. *)
+  let raised = B.to_string (B.add (B.of_int 3) (B.pow B.two 63)) in
+  let mutated = ref false in
+  let j' =
+    map_steps
+      (List.map (fun step ->
+           match step with
+           | Json.List [ lits; Json.List (Json.String "f" :: combo) ] ->
+             let combo =
+               List.map
+                 (function
+                   | Json.List [ l; Json.String "3"; ix ] when not !mutated ->
+                     mutated := true;
+                     Json.List [ l; Json.String raised; ix ]
+                   | e -> e)
+                 combo
+             in
+             Json.List [ lits; Json.List (Json.String "f" :: combo) ]
+           | s -> s))
+      (Cert.to_json c)
+  in
+  Alcotest.(check bool) "found the multiplier 3 to raise" true !mutated;
+  expect_reject "wrapped-multiplier" "CK005" j'
+
 let test_mutation_splice_euf () =
   (* Redirecting an equality meaning to unrelated nodes must make the
      congruence replay fall short. *)
@@ -330,6 +371,7 @@ let () =
         [
           Alcotest.test_case "drop-antecedent" `Quick test_mutation_drop_antecedent;
           Alcotest.test_case "perturb-farkas" `Quick test_mutation_perturb_farkas;
+          Alcotest.test_case "wrapped-multiplier" `Quick test_mutation_wrapped_multiplier;
           Alcotest.test_case "splice-euf" `Quick test_mutation_splice_euf;
           Alcotest.test_case "truncate" `Quick test_mutation_truncate;
           Alcotest.test_case "garbage" `Quick test_mutation_garbage;

@@ -392,8 +392,13 @@ let test_driver_break_programs () =
 (* ------------------------------------------------------------------ *)
 
 let prop_interp_sll =
+  (* At most 1,000 elements.  Every push and pop re-checks contracts that
+     walk the whole list, so a list of n elements costs about n^2 steps
+     and the few longest lists decide the property's time; [QCheck.list]
+     draws up to 10,000 elements for one case in twenty, which made that
+     time swing by minutes from seed to seed. *)
   QCheck.Test.make ~name:"interpreted SLL satisfies its contracts" ~count:60
-    QCheck.(list (int_range 0 1000))
+    QCheck.(list_of_size Gen.(0 -- 1000) (int_range 0 1000))
     (fun xs ->
       (* Random pushes then pops with dynamic contract checking on; any
          contract violation raises. *)
