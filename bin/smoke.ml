@@ -6,8 +6,10 @@
                            no-acked-write-lost readback; a recovery probe
      smoke profile FILE    FILE (verus_cli profile --json) validates
                            against the verus-profile schema
-     smoke cache           cold fill, 100%-hit warm run with the cold
-                           digest, jobs>1 counters, corrupt-store recovery
+     smoke cache FILE      cold fill, 100%-hit warm run with the cold
+                           digest, jobs>1 counters, corrupt-store recovery;
+                           FILE (a store an earlier build wrote) serves
+                           every obligation it covers
      smoke certify         every bundled program verifies with --certify
                            and every Unsat's certificate replays Checked
      smoke analyze         prescreen-Proved => solver-Unsat over the suite;
@@ -155,7 +157,37 @@ let profile path =
 
 (* ------------------------------- cache ------------------------------- *)
 
-let cache () =
+(* [fixture] is a store written by an earlier build: [verus_cli verify
+   singly_linked --cache D], then the same with [--ladder escalate
+   --prescreen].  Served from a copy, both runs must hit on every
+   obligation they look up, which pins the cache keys and the on-disk
+   format across builds.  Re-record it only together with a deliberate
+   [verus-cache-fp] or [verus-cache] bump. *)
+let cache_fixture fixture =
+  let dir = fresh_tmp "cache-fixture" in
+  clear_cache dir;
+  Vbase.Store.mkdir_p dir;
+  Out_channel.with_open_bin (Filename.concat dir Vcache.file_name) (fun oc ->
+      output_string oc (read_file fixture));
+  List.iter
+    (fun (what, q) ->
+      let r = run ~cache_dir:dir q Profiles.verus Bench_programs.singly_linked in
+      match r.Driver.pr_cache with
+      | None -> fail "%s: run reported no cache stats" what
+      | Some s ->
+        check
+          (Printf.sprintf "%s: %d hit(s), %d miss(es), %d invalidation(s) against %s" what
+             s.Vcache.hits s.Vcache.misses s.Vcache.invalidations fixture)
+          (s.Vcache.hits > 0 && s.Vcache.misses = 0 && s.Vcache.invalidations = 0))
+    [
+      ("verify singly_linked", Rpc.query Rpc.Verify "singly_linked");
+      ( "verify singly_linked --ladder escalate --prescreen",
+        Rpc.query ~ladder:"escalate" ~analyze:true Rpc.Verify "singly_linked" );
+    ];
+  clear_cache dir
+
+let cache fixture =
+  cache_fixture fixture;
   let dir = fresh_tmp "cache" in
   clear_cache dir;
   let run ?jobs () =
@@ -603,7 +635,7 @@ let () =
   | [ "faults" ] -> faults ()
   | [ "kv" ] -> kv ()
   | [ "profile"; path ] -> profile path
-  | [ "cache" ] -> cache ()
+  | [ "cache"; path ] -> cache path
   | [ "certify" ] -> certify ()
   | [ "analyze" ] -> analyze ()
   | [ "ladder" ] -> ladder ()
@@ -612,5 +644,5 @@ let () =
   | [ "digests"; path ] -> digests path
   | _ ->
     prerr_endline
-      "usage: smoke faults|kv|cache|certify|analyze|ladder|daemon | smoke profile|docs|digests FILE";
+      "usage: smoke faults|kv|certify|analyze|ladder|daemon | smoke profile|cache|docs|digests FILE";
     exit 2

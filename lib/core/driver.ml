@@ -124,14 +124,18 @@ let syms_of_term t =
     [] t
   |> List.sort_uniq compare
 
-let prune_context axioms (vc : Encode.vc) =
+(* Each axiom with the symbols it mentions: what pruning consults, built
+   once per run rather than once per obligation. *)
+let axiom_syms axioms = List.map (fun a -> (a, syms_of_term a)) axioms
+
+let prune_context ax_syms (vc : Encode.vc) =
   let module IS = Set.Make (Int) in
   let reachable =
     ref
       (IS.of_list
          (List.concat_map syms_of_term (vc.Encode.vc_goal :: vc.Encode.vc_hyps)))
   in
-  let remaining = ref (List.map (fun a -> (a, syms_of_term a)) axioms) in
+  let remaining = ref ax_syms in
   let included = ref [] in
   let changed = ref true in
   while !changed do
@@ -152,7 +156,7 @@ let prune_context axioms (vc : Encode.vc) =
 
 let context_for (p : Profiles.t) (prog : program) (vc : Encode.vc) =
   let axioms = Encode.program_axioms p prog in
-  if p.Profiles.pruning then prune_context axioms vc else axioms
+  if p.Profiles.pruning then prune_context (axiom_syms axioms) vc else axioms
 
 (* ------------------------------------------------------------------ *)
 (* VC dispatch                                                         *)
@@ -197,6 +201,8 @@ type vc_env = {
   ev_p : Profiles.t;
   ev_prog : program;
   ev_axioms : T.t list;
+  ev_axiom_syms : (T.t * int list) list;
+      (** [axiom_syms ev_axioms] when some attempt prunes, else [[]] *)
   ev_ax_index : (int, int) Hashtbl.t;
   ev_ladder : Ladder.t option;
   ev_rungs : Rung.t array;
@@ -207,6 +213,10 @@ type vc_env = {
 
 let make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 (p : Profiles.t) (prog : program)
     ~axioms ~ax_index =
+  let rungs = Ladder.rungs (match ladder with Some l -> l | None -> Ladder.identity) in
+  let prunes =
+    p.Profiles.pruning || Array.exists (fun (r : Rung.t) -> r.Rung.r_pruning = Rung.P_prune) rungs
+  in
   {
     ev_profile = profile;
     ev_certify = certify;
@@ -218,9 +228,10 @@ let make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 (p : Profiles.t) (
     ev_p = p;
     ev_prog = prog;
     ev_axioms = axioms;
+    ev_axiom_syms = (if prunes then axiom_syms axioms else []);
     ev_ax_index = ax_index;
     ev_ladder = ladder;
-    ev_rungs = Ladder.rungs (match ladder with Some l -> l | None -> Ladder.identity);
+    ev_rungs = rungs;
     ev_vl010 = vl010;
   }
 
@@ -292,7 +303,7 @@ let start_vc env (vc : Encode.vc) : step =
   let t0 = Unix.gettimeofday () in
   let p = env.ev_p in
   let context =
-    if p.Profiles.pruning then prune_context env.ev_axioms vc else env.ev_axioms
+    if p.Profiles.pruning then prune_context env.ev_axiom_syms vc else env.ev_axioms
   in
   (* Prescreen (rung 0 of the escalation ladder): abstract interpretation
      over the VC before any solver or cache involvement. *)
@@ -439,7 +450,7 @@ let start_vc env (vc : Encode.vc) : step =
     let pruned =
       if p.Profiles.pruning then context
       else if Array.exists (fun (r : Rung.t) -> r.Rung.r_pruning = Rung.P_prune) env.ev_rungs
-      then prune_context env.ev_axioms vc
+      then prune_context env.ev_axiom_syms vc
       else []
     in
     Escalated

@@ -139,9 +139,8 @@ let entry_of_json (j : Vbase.Json.t) : (string * entry) option =
 
 (* ----- open / lookup / store / flush ----- *)
 
-(* The well-formed entries of the store in [dir], and how many were not. *)
-let load dir =
-  let loaded = Vbase.Store.load ~dir ~file:file_name ~schema:schema_version in
+(* The well-formed entries of a store document, and how many were not. *)
+let decode (loaded : Vbase.Store.loaded) =
   let dropped = ref loaded.Vbase.Store.dropped in
   let entries =
     List.filter_map
@@ -155,30 +154,69 @@ let load dir =
   in
   (entries, !dropped, loaded.Vbase.Store.corrupt)
 
-let open_ (cfg : config) : t =
-  (* Stamp first: a save landing between the two only costs a re-read. *)
-  let stamp = disk_stamp cfg.dir in
-  let entries, dropped, corrupt = load cfg.dir in
-  let snapshot = Hashtbl.create 256 in
-  let names = Hashtbl.create 256 in
+let load dir = decode (Vbase.Store.load ~dir ~file:file_name ~schema:schema_version)
+
+(* What [open_] builds from one store document.  Never mutated once
+   built, so handles share it. *)
+type parsed = {
+  p_snapshot : (string, string * entry) Hashtbl.t;
+  p_names : (string, string) Hashtbl.t;
+  p_dropped : int;
+  p_corrupt : bool;
+}
+
+let of_loaded loaded =
+  let entries, dropped, corrupt = decode loaded in
+  let n = List.length entries in
+  let snapshot = Hashtbl.create n in
+  let names = Hashtbl.create n in
   List.iter
     (fun (fp, (name, e)) ->
       Hashtbl.replace snapshot fp (name, e);
       Hashtbl.replace names name fp)
     entries;
+  { p_snapshot = snapshot; p_names = names; p_dropped = dropped; p_corrupt = corrupt }
+
+(* Per cache directory, the last document [open_] parsed and the bytes it
+   was parsed from.  An open whose file holds exactly those bytes reuses
+   it.  The key is the content, not the file's stamp: a same-size rewrite
+   inside one mtime tick keeps the stamp.  Only parses of what is on disk
+   enter here, never a flush's merged tables, whose floats have not yet
+   been through the document's rounding. *)
+let parsed_lock = Mutex.create ()
+let parsed_by_dir : (string, string * parsed) Hashtbl.t = Hashtbl.create 8
+let parsed_dirs_max = 8
+
+let parse_store dir =
+  match Vbase.Store.read ~dir ~file:file_name with
+  | Error loaded -> of_loaded loaded
+  | Ok text -> (
+    match Mutex.protect parsed_lock (fun () -> Hashtbl.find_opt parsed_by_dir dir) with
+    | Some (seen, p) when String.equal seen text -> p
+    | _ ->
+      let p = of_loaded (Vbase.Store.parse ~schema:schema_version text) in
+      Mutex.protect parsed_lock (fun () ->
+          if Hashtbl.length parsed_by_dir >= parsed_dirs_max then Hashtbl.reset parsed_by_dir;
+          Hashtbl.replace parsed_by_dir dir (text, p));
+      p)
+
+let open_ (cfg : config) : t =
+  (* Stamp first: a save landing between the two only costs a re-read. *)
+  let stamp = disk_stamp cfg.dir in
+  let p = parse_store cfg.dir in
   {
     dir = cfg.dir;
     lock = Mutex.create ();
-    snapshot;
-    names;
+    snapshot = p.p_snapshot;
+    names = p.p_names;
     fresh = Hashtbl.create 64;
     stamp;
     hits = 0;
     misses = 0;
     invalidations = 0;
-    entries_loaded = Hashtbl.length snapshot;
-    entries_dropped = dropped;
-    corrupt_load = corrupt;
+    entries_loaded = Hashtbl.length p.p_snapshot;
+    entries_dropped = p.p_dropped;
+    corrupt_load = p.p_corrupt;
   }
 
 let lookup t ~name ~fp ~profile_wanted ~certified_wanted =
@@ -452,9 +490,25 @@ let hint_tag : Vir.proof_hint -> string = function
   | Vir.H_integer_ring -> "integer_ring"
   | Vir.H_compute -> "compute"
 
+(* [Profiles.solver_fingerprint] prints the budget with [Printf], and a run
+   asks for it once per obligation of the same profile value.  Each domain
+   keeps the last profile it rendered; profiles are immutable, so a
+   physically equal one renders the same. *)
+let last_solver_fp : (Profiles.t * string) option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let solver_fingerprint profile =
+  let slot = Domain.DLS.get last_solver_fp in
+  match Atomic.get slot with
+  | Some (p, fp) when p == profile -> fp
+  | _ ->
+    let fp = Profiles.solver_fingerprint profile in
+    Atomic.set slot (Some (profile, fp));
+    fp
+
 let fingerprint ?(analyze = false) ?ladder ~(profile : Profiles.t) ~(prog : Vir.program)
     ~(context : Smt.Term.t list) (vc : Encode.vc) : string =
-  let s = Smt.Canon.create () in
+  Smt.Canon.digest @@ fun s ->
   (* /2: the entry schema gained the winning-rung key and ladder-salted
      keys joined the space — pre-ladder entries must re-solve rather than
      replay under a key computed by different rules. *)
@@ -474,7 +528,7 @@ let fingerprint ?(analyze = false) ?ladder ~(profile : Profiles.t) ~(prog : Vir.
   (match ladder with
   | None -> ()
   | Some lfp -> Smt.Canon.add_string s ("ladder=" ^ lfp));
-  Smt.Canon.add_string s (Profiles.solver_fingerprint profile);
+  Smt.Canon.add_string s (solver_fingerprint profile);
   Smt.Canon.add_string s ("hint=" ^ hint_tag vc.Encode.vc_hint);
   (match vc.Encode.vc_hint with
   | Vir.H_compute -> Smt.Canon.add_string s (compute_surface prog vc.Encode.vc_expr)
@@ -484,8 +538,7 @@ let fingerprint ?(analyze = false) ?ladder ~(profile : Profiles.t) ~(prog : Vir.
   Smt.Canon.add_string s "hyps:";
   List.iter (Smt.Canon.add_term s) vc.Encode.vc_hyps;
   Smt.Canon.add_string s "goal:";
-  Smt.Canon.add_term s vc.Encode.vc_goal;
-  Vbase.Hash.string128 (Smt.Canon.contents s)
+  Smt.Canon.add_term s vc.Encode.vc_goal
 
 (* ----- offline inspection ----- *)
 
@@ -505,17 +558,13 @@ let disk_stats ~dir : disk_stats =
     if not exists then 0
     else try In_channel.with_open_bin path In_channel.length |> Int64.to_int with Sys_error _ -> 0
   in
-  let loaded = Vbase.Store.load ~dir ~file:file_name ~schema:schema_version in
-  let dropped = ref loaded.Vbase.Store.dropped in
+  let entries, dropped, corrupt = load dir in
   let counts = Hashtbl.create 4 in
   List.iter
-    (fun (_, j) ->
-      match entry_of_json j with
-      | None -> incr dropped
-      | Some (_, e) ->
-        let k = answer_kind e.e_answer in
-        Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
-    loaded.Vbase.Store.entries;
+    (fun (_, (_, e)) ->
+      let k = answer_kind e.e_answer in
+      Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
+    entries;
   let answers =
     Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -523,8 +572,8 @@ let disk_stats ~dir : disk_stats =
   {
     ds_exists = exists;
     ds_entries = List.fold_left (fun acc (_, n) -> acc + n) 0 answers;
-    ds_dropped = !dropped;
-    ds_corrupt = loaded.Vbase.Store.corrupt;
+    ds_dropped = dropped;
+    ds_corrupt = corrupt;
     ds_bytes = bytes;
     ds_answers = answers;
   }

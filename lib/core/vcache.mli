@@ -34,7 +34,18 @@
 
     Lookups consult only the snapshot loaded at {!open_} — entries stored
     during the current run are kept aside until {!flush} — so hit/miss
-    statistics are identical however many workers race ([jobs > 1]). *)
+    statistics are identical however many workers race ([jobs > 1]).
+
+    A hit costs a lookup.  {!open_} reads the store's bytes and, when
+    they equal the bytes it last parsed from the same directory, reuses
+    that parse; only the first open after a flush parses the document.
+    Reuse is keyed on content rather than on the file's inode, size and
+    mtime, which a same-size rewrite within one mtime tick leaves
+    unchanged.  {!fingerprint} renders into a per-domain serializer and
+    hashes it in place ({!Smt.Canon.digest}); the text of each context
+    axiom (any term naming no fresh symbol) is rendered once per domain
+    and copied after that, from a table keyed on the term through an
+    ephemeron, so it never keeps a term alive. *)
 
 val schema_version : string
 (** ["verus-cache/1"] — the on-disk document schema. *)
@@ -83,7 +94,10 @@ type t
 val open_ : config -> t
 (** Load the snapshot from [config.dir].  Never fails: missing, truncated
     or corrupt stores open as empty caches (see [corrupt_load]/
-    [entries_dropped] in {!stats}). *)
+    [entries_dropped] in {!stats}).  When the file holds exactly the bytes
+    of the last document parsed from [config.dir], the handle shares that
+    parse (it is never mutated) and reports the same counters a fresh
+    parse would; a {!flush} never publishes its own tables for reuse. *)
 
 val fingerprint :
   ?analyze:bool ->

@@ -29,7 +29,13 @@
     One {!serializer} must span everything that ends up in one fingerprint
     (context axioms, hypotheses, goal): the fresh-symbol renaming table is
     shared, which is what keeps a constant appearing in both a hypothesis
-    and the goal recognizably the same symbol. *)
+    and the goal recognizably the same symbol.
+
+    The text of a term that names no fresh symbol depends on the term
+    alone, so each domain renders it once ({!add_term} copies it after
+    that).  The table holding it is keyed on the term through an
+    ephemeron, so it never keeps a term alive; terms naming fresh symbols,
+    whose text depends on the payload's renaming, never enter it. *)
 
 type serializer
 
@@ -45,3 +51,9 @@ val add_string : serializer -> string -> unit
 
 val contents : serializer -> string
 (** The accumulated canonical payload. *)
+
+val digest : (serializer -> unit) -> string
+(** [digest fill] is {!Vbase.Hash.string128} of the payload [fill] adds to
+    a serializer with an empty payload and an empty renaming table.  The
+    serializer is only valid during [fill]: each domain reuses one
+    between digests, so a digest copies no payload and builds no tables. *)

@@ -20,29 +20,31 @@ let read_file path =
     close_in_noerr ic;
     r
 
-let load ~dir ~file ~schema =
+let read ~dir ~file =
   let path = Filename.concat dir file in
-  if not (Sys.file_exists path) then empty
-  else
-    match read_file path with
-    | None -> corrupt_store
-    | Some text -> (
-      match Json.of_string text with
-      | Error _ -> corrupt_store
-      | Ok doc -> (
-        match Json.member "schema" doc with
-        | Some (Json.String s) when String.equal s schema -> (
-          match Json.member "entries" doc with
-          | Some (Json.Obj kvs) ->
-            (* An entry is any (key, value) binding; values that are not
-               objects are still returned — the *consumer's* decoder
-               decides what is malformed for its schema.  Here we only
-               drop bindings the JSON layer itself cannot represent as
-               entries (none, given Obj), so dropped counts stay with the
-               table-shape checks below. *)
-            { entries = kvs; dropped = 0; corrupt = false }
-          | Some _ | None -> corrupt_store)
-        | Some _ | None -> corrupt_store))
+  if not (Sys.file_exists path) then Error empty
+  else match read_file path with None -> Error corrupt_store | Some text -> Ok text
+
+let parse ~schema text =
+  match Json.of_string text with
+  | Error _ -> corrupt_store
+  | Ok doc -> (
+    match Json.member "schema" doc with
+    | Some (Json.String s) when String.equal s schema -> (
+      match Json.member "entries" doc with
+      | Some (Json.Obj kvs) ->
+        (* An entry is any (key, value) binding; values that are not
+           objects are still returned — the *consumer's* decoder
+           decides what is malformed for its schema.  Here we only
+           drop bindings the JSON layer itself cannot represent as
+           entries (none, given Obj), so dropped counts stay with the
+           table-shape checks below. *)
+        { entries = kvs; dropped = 0; corrupt = false }
+      | Some _ | None -> corrupt_store)
+    | Some _ | None -> corrupt_store)
+
+let load ~dir ~file ~schema =
+  match read ~dir ~file with Ok text -> parse ~schema text | Error loaded -> loaded
 
 (* mkdir -p: cache directories are routinely nested (one per program
    under a bench root) and none of the ancestors need exist yet. *)

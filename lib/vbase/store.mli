@@ -33,7 +33,17 @@ type loaded = {
 }
 
 val load : dir:string -> file:string -> schema:string -> loaded
-(** Read [dir/file] expecting the given schema tag.  Never raises. *)
+(** Read [dir/file] expecting the given schema tag.  Never raises.
+    Equal to {!parse} of the bytes {!read} returns, or to {!read}'s
+    [Error]. *)
+
+val read : dir:string -> file:string -> (string, loaded) result
+(** The document's bytes, or, when there are none to parse, what {!load}
+    returns: the empty store for a missing file, a corrupt one for an
+    unreadable file.  Never raises. *)
+
+val parse : schema:string -> string -> loaded
+(** What {!load} returns for a document holding these bytes. *)
 
 val save :
   dir:string -> file:string -> schema:string -> (string * Json.t) list -> (unit, string) result
