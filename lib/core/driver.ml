@@ -201,8 +201,7 @@ type vc_env = {
   ev_p : Profiles.t;
   ev_prog : program;
   ev_axioms : T.t list;
-  ev_axiom_syms : (T.t * int list) list;
-      (** [axiom_syms ev_axioms] when some attempt prunes, else [[]] *)
+  ev_axiom_syms : (T.t * int list) list;  (** [axiom_syms ev_axioms] *)
   ev_ax_index : (int, int) Hashtbl.t;
   ev_ladder : Ladder.t option;
   ev_rungs : Rung.t array;
@@ -213,10 +212,6 @@ type vc_env = {
 
 let make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 (p : Profiles.t) (prog : program)
     ~axioms ~ax_index =
-  let rungs = Ladder.rungs (match ladder with Some l -> l | None -> Ladder.identity) in
-  let prunes =
-    p.Profiles.pruning || Array.exists (fun (r : Rung.t) -> r.Rung.r_pruning = Rung.P_prune) rungs
-  in
   {
     ev_profile = profile;
     ev_certify = certify;
@@ -228,10 +223,10 @@ let make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 (p : Profiles.t) (
     ev_p = p;
     ev_prog = prog;
     ev_axioms = axioms;
-    ev_axiom_syms = (if prunes then axiom_syms axioms else []);
+    ev_axiom_syms = axiom_syms axioms;
     ev_ax_index = ax_index;
     ev_ladder = ladder;
-    ev_rungs = rungs;
+    ev_rungs = Ladder.rungs (match ladder with Some l -> l | None -> Ladder.identity);
     ev_vl010 = vl010;
   }
 

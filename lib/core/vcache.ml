@@ -177,27 +177,26 @@ let of_loaded loaded =
     entries;
   { p_snapshot = snapshot; p_names = names; p_dropped = dropped; p_corrupt = corrupt }
 
-(* Per cache directory, the last document [open_] parsed and the bytes it
-   was parsed from.  An open whose file holds exactly those bytes reuses
-   it.  The key is the content, not the file's stamp: a same-size rewrite
-   inside one mtime tick keeps the stamp.  Only parses of what is on disk
-   enter here, never a flush's merged tables, whose floats have not yet
-   been through the document's rounding. *)
-let parsed_lock = Mutex.create ()
-let parsed_by_dir : (string, string * parsed) Hashtbl.t = Hashtbl.create 8
-let parsed_dirs_max = 8
+(* The last document [open_] parsed and the bytes it was parsed from.  An
+   open whose file holds exactly those bytes reuses it: a parse depends on
+   the bytes alone.  The key is the content, not the file's stamp: a
+   same-size rewrite inside one mtime tick keeps the stamp.  Only parses
+   of what is on disk enter here, never a flush's merged tables, whose
+   floats have not yet been through the document's rounding.  One slot:
+   the CLI, the daemon and the benchmark each open one directory at a
+   time. *)
+let last_parsed_lock = Mutex.create ()
+let last_parsed : (string * parsed) option ref = ref None
 
 let parse_store dir =
   match Vbase.Store.read ~dir ~file:file_name with
   | Error loaded -> of_loaded loaded
   | Ok text -> (
-    match Mutex.protect parsed_lock (fun () -> Hashtbl.find_opt parsed_by_dir dir) with
+    match Mutex.protect last_parsed_lock (fun () -> !last_parsed) with
     | Some (seen, p) when String.equal seen text -> p
     | _ ->
       let p = of_loaded (Vbase.Store.parse ~schema:schema_version text) in
-      Mutex.protect parsed_lock (fun () ->
-          if Hashtbl.length parsed_by_dir >= parsed_dirs_max then Hashtbl.reset parsed_by_dir;
-          Hashtbl.replace parsed_by_dir dir (text, p));
+      Mutex.protect last_parsed_lock (fun () -> last_parsed := Some (text, p));
       p)
 
 let open_ (cfg : config) : t =

@@ -37,7 +37,7 @@
     statistics are identical however many workers race ([jobs > 1]).
 
     A hit costs a lookup.  {!open_} reads the store's bytes and, when
-    they equal the bytes it last parsed from the same directory, reuses
+    they equal the bytes of the last document an open parsed, reuses
     that parse; only the first open after a flush parses the document.
     Reuse is keyed on content rather than on the file's inode, size and
     mtime, which a same-size rewrite within one mtime tick leaves
@@ -95,9 +95,9 @@ val open_ : config -> t
 (** Load the snapshot from [config.dir].  Never fails: missing, truncated
     or corrupt stores open as empty caches (see [corrupt_load]/
     [entries_dropped] in {!stats}).  When the file holds exactly the bytes
-    of the last document parsed from [config.dir], the handle shares that
-    parse (it is never mutated) and reports the same counters a fresh
-    parse would; a {!flush} never publishes its own tables for reuse. *)
+    of the last document an open parsed, the handle shares that parse
+    (it is never mutated) and reports the same counters a fresh parse
+    would; a {!flush} never publishes its own tables for reuse. *)
 
 val fingerprint :
   ?analyze:bool ->

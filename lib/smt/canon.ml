@@ -2,9 +2,8 @@ type serializer = {
   (* the payload is [Bytes.sub buf 0 len] *)
   mutable buf : Bytes.t;
   mutable len : int;
-  (* fresh symbol sid -> canonical alias, assigned in order of first
+  (* the next fresh-symbol alias; aliases are assigned in order of first
      occurrence in the payload *)
-  alias : string Term.Id_tbl.t;
   mutable next_alias : int;
   (* symbol sid -> its application head ["name:Sort"], and whether the
      name is a fresh symbol's alias; see [head] *)
@@ -19,7 +18,6 @@ let create () =
   {
     buf = Bytes.create 256;
     len = 0;
-    alias = Term.Id_tbl.create 16;
     next_alias = 0;
     heads = Term.Id_tbl.create 32;
     keys = Term.Id_tbl.create 64;
@@ -68,7 +66,6 @@ let head s (f : Term.sym) =
       | Some prefix ->
         let a = prefix ^ "!" ^ string_of_int s.next_alias in
         s.next_alias <- s.next_alias + 1;
-        Term.Id_tbl.add s.alias f.Term.sid a;
         (a, true)
     in
     let h = (name ^ ":" ^ Sort.to_string f.Term.sret, fresh) in
@@ -97,12 +94,15 @@ let bvop_tag : Term.bvop -> string = function
   | Term.Bextract (hi, lo) -> Printf.sprintf "extract:%d:%d" hi lo
 
 (* The rendering of a term that names no fresh symbol depends on the term
-   alone, not on the serializer's alias table, so each domain renders it
-   once and copies the text after that.  The table is keyed on the term
-   through an ephemeron: it never keeps a term alive, and an entry goes
-   when its term does.  Terms naming fresh symbols are rendered every
-   time and never enter it.  One table per domain, so domains never wait
-   on each other; the lock is for the systhreads a domain may run. *)
+   alone, not on the serializer's aliases, so each domain renders it once
+   and copies the text after that.  The table is keyed on the term through
+   an ephemeron: it never keeps a term alive, and an entry goes when its
+   term does (today the hash-cons table keeps every term for the life of
+   the process).  Terms naming fresh symbols are rendered every time and
+   never enter it; as nearly every hypothesis and goal names one, the
+   table holds little more than the program axioms.  One table per
+   domain, so domains never wait on each other; the lock is for the
+   systhreads a domain may run. *)
 module Rendered = Ephemeron.K1.Make (struct
   type t = Term.t
 
@@ -331,7 +331,6 @@ let digest fill =
     | None -> create ()
     | Some s ->
       s.len <- 0;
-      Term.Id_tbl.clear s.alias;
       s.next_alias <- 0;
       Term.Id_tbl.clear s.heads;
       Term.Id_tbl.clear s.keys;

@@ -13,46 +13,30 @@ type t =
 
 let escape_string b s =
   Buffer.add_char b '"';
-  (* Bytes that need no escape go out in runs, one [add_substring] each. *)
-  let run = ref 0 in
-  for i = 0 to String.length s - 1 do
-    let c = String.unsafe_get s i in
-    if c = '"' || c = '\\' || Char.code c < 0x20 || Char.code c >= 0x7f then begin
-      Buffer.add_substring b s !run (i - !run);
-      (match c with
+  String.iter
+    (fun c ->
+      match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c ->
+      | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
         (* Control characters and non-ASCII bytes: escape byte-wise.  The
            traces only ever contain ASCII identifiers, so lossy-but-valid
            is the right trade for a parser this small. *)
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
-      run := i + 1
-    end
-  done;
-  Buffer.add_substring b s !run (String.length s - !run);
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
   Buffer.add_char b '"'
 
-(* The C formatter [Printf] ends in for [%.1f] and [%.6g] (as
-   [string_of_float] calls it), without interpreting a format per float:
-   the same bytes. *)
-external format_float : string -> float -> string = "caml_format_float"
-
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
-  else format_float "%.6g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.6g" f
 
 let to_string ?(indent = true) j =
   let b = Buffer.create 256 in
-  let pad n =
-    if indent then
-      for _ = 1 to 2 * n do
-        Buffer.add_char b ' '
-      done
-  in
+  let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
   let nl () = if indent then Buffer.add_char b '\n' in
   let rec go depth = function
     | Null -> Buffer.add_string b "null"
@@ -108,15 +92,18 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  (* Whether the next byte is [c]; no option is allocated per look. *)
-  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
       advance ()
     done
   in
-  let expect c = if at c then advance () else fail (Printf.sprintf "expected %c" c) in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %c" c)
+  in
   let literal word value =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
       pos := !pos + String.length word;
@@ -126,67 +113,55 @@ let of_string s =
   in
   let parse_string () =
     expect '"';
-    (* Most strings hold no escape: take those in one [String.sub]. *)
-    let start = !pos in
-    while !pos < n && (match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true) do
-      advance ()
-    done;
-    if at '"' then begin
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
       advance ();
-      String.sub s start (!pos - 1 - start)
-    end
-    else begin
-      let b = Buffer.create 16 in
-      Buffer.add_substring b s start (!pos - start);
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' -> (
+        if !pos >= n then fail "unterminated escape";
+        let e = s.[!pos] in
         advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          match e with
-          | '"' | '\\' | '/' ->
-            Buffer.add_char b e;
-            go ()
-          | 'n' ->
-            Buffer.add_char b '\n';
-            go ()
-          | 't' ->
-            Buffer.add_char b '\t';
-            go ()
-          | 'r' ->
-            Buffer.add_char b '\r';
-            go ()
-          | 'b' ->
-            Buffer.add_char b '\b';
-            go ()
-          | 'f' ->
-            Buffer.add_char b '\012';
-            go ()
-          | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            let code =
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
-            in
-            (* Byte-oriented round trip of the printer's byte-wise escapes;
-               codepoints above 0xff degrade to '?'. *)
-            Buffer.add_char b (if code <= 0xff then Char.chr code else '?');
-            go ()
-          | _ -> fail "unknown escape")
-        | c ->
-          Buffer.add_char b c;
+        match e with
+        | '"' | '\\' | '/' ->
+          Buffer.add_char b e;
           go ()
-      in
-      go ()
-    end
+        | 'n' ->
+          Buffer.add_char b '\n';
+          go ()
+        | 't' ->
+          Buffer.add_char b '\t';
+          go ()
+        | 'r' ->
+          Buffer.add_char b '\r';
+          go ()
+        | 'b' ->
+          Buffer.add_char b '\b';
+          go ()
+        | 'f' ->
+          Buffer.add_char b '\012';
+          go ()
+        | 'u' ->
+          if !pos + 4 > n then fail "truncated \\u escape";
+          let hex = String.sub s !pos 4 in
+          pos := !pos + 4;
+          let code =
+            match int_of_string_opt ("0x" ^ hex) with
+            | Some c -> c
+            | None -> fail "bad \\u escape"
+          in
+          (* Byte-oriented round trip of the printer's byte-wise escapes;
+             codepoints above 0xff degrade to '?'. *)
+          Buffer.add_char b (if code <= 0xff then Char.chr code else '?');
+          go ()
+        | _ -> fail "unknown escape")
+      | c ->
+        Buffer.add_char b c;
+        go ()
+    in
+    go ()
   in
   let parse_number () =
     let start = !pos in
@@ -197,13 +172,7 @@ let of_string s =
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
-    (* A fraction or an exponent never reads as an [int]: skip the attempt,
-       which costs an exception. *)
-    let as_int =
-      if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok then None
-      else int_of_string_opt tok
-    in
-    match as_int with
+    match int_of_string_opt tok with
     | Some i -> Int i
     | None -> (
       match float_of_string_opt tok with
@@ -212,23 +181,23 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    if !pos >= n then fail "unexpected end of input";
-    match s.[!pos] with
-    | '"' -> String (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | '[' ->
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some '[' ->
       advance ();
       skip_ws ();
-      if at ']' then begin
+      if peek () = Some ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value () ] in
         skip_ws ();
-        while at ',' do
+        while peek () = Some ',' do
           advance ();
           items := parse_value () :: !items;
           skip_ws ()
@@ -236,10 +205,10 @@ let of_string s =
         expect ']';
         List (List.rev !items)
       end
-    | '{' ->
+    | Some '{' ->
       advance ();
       skip_ws ();
-      if at '}' then begin
+      if peek () = Some '}' then begin
         advance ();
         Obj []
       end
@@ -254,7 +223,7 @@ let of_string s =
         in
         let items = ref [ parse_kv () ] in
         skip_ws ();
-        while at ',' do
+        while peek () = Some ',' do
           advance ();
           items := parse_kv () :: !items;
           skip_ws ()
@@ -262,7 +231,7 @@ let of_string s =
         expect '}';
         Obj (List.rev !items)
       end
-    | _ -> parse_number ()
+    | Some _ -> parse_number ()
   in
   try
     let v = parse_value () in
@@ -275,9 +244,7 @@ let of_string s =
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let member k = function
-  | Obj kvs -> List.find_map (fun (k', v) -> if String.equal k k' then Some v else None) kvs
-  | _ -> None
+let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let path keys j =
   List.fold_left (fun acc k -> Option.bind acc (member k)) (Some j) keys

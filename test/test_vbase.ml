@@ -559,7 +559,7 @@ let test_json_roundtrip () =
     [ true; false ]
 
 (* Every byte survives print and parse, in keys and in values, with or
-   without escapes (the parser takes escape-free strings in one piece). *)
+   without escapes. *)
 let prop_json_strings =
   QCheck.Test.make ~name:"json strings roundtrip byte for byte" ~count:200
     QCheck.(small_list (pair small_string small_string))

@@ -529,8 +529,8 @@ let test_concurrent_flushes () =
 (* Reusing a parsed store                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [open_] reuses the tables it last parsed from a directory only while
-   the file holds the very bytes they were parsed from. *)
+(* [open_] reuses the tables it last parsed only while the file holds the
+   very bytes they were parsed from. *)
 
 let expect_hit h fp what =
   match Vcache.lookup h ~name:fp ~fp ~profile_wanted:false ~certified_wanted:false with
@@ -560,6 +560,27 @@ let test_reuse_isolation () =
   let c = Vcache.open_ { Vcache.dir } in
   ignore (expect_hit c "fp-a" "a handle opened after the flush serves a's entry");
   ignore (expect_hit c "seed" "and the older entry")
+
+(* The reuse is keyed on the bytes alone: a copy of a store in another
+   directory opens from the same parse, and each directory's handles
+   still see only their own flushes. *)
+let test_reuse_copy () =
+  let a = fresh_dir () and b = fresh_dir () in
+  flush_ok
+    (let h = Vcache.open_ { Vcache.dir = a } in
+     Vcache.store h ~name:"seed" ~fp:"seed" entry;
+     h);
+  ignore (expect_hit (Vcache.open_ { Vcache.dir = a }) "seed" "a serves its entry");
+  if not (Sys.file_exists b) then Sys.mkdir b 0o755;
+  write_file (store_path b) (read_file (store_path a));
+  let hb = Vcache.open_ { Vcache.dir = b } in
+  ignore (expect_hit hb "seed" "the copy in b serves the same entry");
+  Vcache.store hb ~name:"b" ~fp:"fp-b" entry;
+  flush_ok hb;
+  let ha = Vcache.open_ { Vcache.dir = a } in
+  ignore (expect_hit ha "seed" "a still serves its entry");
+  expect_miss ha "fp-b" "a does not see b's flush";
+  ignore (expect_hit (Vcache.open_ { Vcache.dir = b }) "fp-b" "b serves its own flush")
 
 (* An in-place rewrite that keeps the file's size, and here its mtime as
    well: only the bytes tell the reuse that the store changed. *)
@@ -657,6 +678,7 @@ let () =
       ( "reuse",
         [
           Alcotest.test_case "run-snapshot isolation" `Quick test_reuse_isolation;
+          Alcotest.test_case "a copy in another directory" `Quick test_reuse_copy;
           Alcotest.test_case "same-size rewrite" `Quick test_reuse_same_size;
           Alcotest.test_case "counters equal a fresh parse" `Quick test_reuse_counters;
           Alcotest.test_case "floats as on disk" `Quick test_reuse_floats;
