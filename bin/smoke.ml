@@ -7,9 +7,11 @@
      smoke profile FILE    FILE (verus_cli profile --json) validates
                            against the verus-profile schema
      smoke cache FILE      cold fill, 100%-hit warm run with the cold
-                           digest, jobs>1 counters, corrupt-store recovery;
-                           FILE (a store an earlier build wrote) serves
-                           every obligation it covers
+                           digest served by the program index, jobs>1
+                           counters, warm-edit's rename and touch,
+                           corrupt-store recovery; FILE (a store an
+                           earlier build wrote) serves every obligation
+                           it covers
      smoke certify         every bundled program verifies with --certify
                            and every Unsat's certificate replays Checked
      smoke analyze         prescreen-Proved => solver-Unsat over the suite;
@@ -186,13 +188,31 @@ let cache_fixture fixture =
     ];
   clear_cache dir
 
+(* The id the next new term gets.  Encoding mints terms (VC generation
+   freshens names), so a run the program index serves leaves it one above
+   the previous probe's. *)
+let next_term_id () = (Smt.Term.const (Smt.Term.Sym.fresh "probe" [] Smt.Sort.Int)).Smt.Term.tid
+
+let encodes f =
+  let before = next_term_id () in
+  let r = f () in
+  (r, next_term_id () > before + 1)
+
+let map_fn (prog : Vir.program) name f =
+  {
+    prog with
+    Vir.functions =
+      List.map (fun (fd : Vir.fndecl) -> if fd.Vir.fname = name then f fd else fd) prog.Vir.functions;
+  }
+
 let cache fixture =
   cache_fixture fixture;
   let dir = fresh_tmp "cache" in
   clear_cache dir;
-  let run ?jobs () =
-    run ?jobs ~cache_dir:dir (Rpc.query Rpc.Verify "singly_linked") Profiles.verus
-      Bench_programs.singly_linked
+  let q = Rpc.query Rpc.Verify "singly_linked" in
+  let uncached prog = run q Profiles.verus prog in
+  let run ?jobs ?(prog = Bench_programs.singly_linked) () =
+    run ?jobs ~cache_dir:dir q Profiles.verus prog
   in
   let stats (r : Driver.program_result) =
     match r.Driver.pr_cache with Some s -> s | None -> fail "run reported no cache stats"
@@ -204,21 +224,70 @@ let cache fixture =
   check "cold run has no hits" (cs.Vcache.hits = 0);
   check "cold run misses every obligation" (cs.Vcache.misses > 0 && cs.Vcache.invalidations = 0);
   check "cold run stores entries" (cs.Vcache.stores > 0);
-  (* Warm: 100% hit rate, identical digest. *)
-  let warm = run () in
+  (* Warm: 100% hit rate, identical digest, served by the program index. *)
+  let warm, encoded = encodes run in
   let ws = stats warm in
+  check "warm run is served by the program index" (not encoded);
   check "warm run verifies" warm.Driver.pr_ok;
   check "warm run hits every obligation"
     (ws.Vcache.hits = cs.Vcache.misses && ws.Vcache.misses = 0 && ws.Vcache.invalidations = 0);
   check "warm run stores nothing" (ws.Vcache.stores = 0);
   check "warm digest equals cold digest" (digest cold = digest warm);
   (* The counters are defined against the load-time snapshot, not the
-     worker interleaving. *)
-  let warm2 = run ~jobs:2 () in
+     worker interleaving.  An unused uninterpreted spec function makes a
+     program the index has not seen, with the same obligations and
+     digest, so this run is scheduled. *)
+  let unseen =
+    let sl = Bench_programs.singly_linked in
+    let unused =
+      { Vir.fname = "unused_spec"; fmode = Vir.Spec; params = []; ret = Some ("result", Vir.TBool);
+        requires = []; ensures = []; body = None; spec_body = None; attrs = [] }
+    in
+    { sl with Vir.functions = sl.Vir.functions @ [ unused ] }
+  in
+  let warm2, encoded = encodes (run ~jobs:2 ~prog:unseen) in
   let w2 = stats warm2 in
+  check "warm jobs=2 run is scheduled" encoded;
   check "warm jobs=2 digest unchanged" (digest warm = digest warm2);
   check "warm jobs=2 counters unchanged"
     (w2.Vcache.hits = ws.Vcache.hits && w2.Vcache.misses = 0 && w2.Vcache.invalidations = 0);
+  (* Warm-edit's other two edits, in the same process: the benchmark's
+     cache contract, and the verdict and digest of a cold run of the
+     edited program. *)
+  List.iter
+    (fun (what, prog, touched) ->
+      let r, encoded = encodes (run ~prog) in
+      let s = stats r in
+      let reference = uncached prog in
+      let want =
+        match touched with
+        | None -> 0
+        | Some fn ->
+          List.length
+            (List.concat_map
+               (fun f -> if f.Driver.fnr_name = fn then f.Driver.fnr_vcs else [])
+               r.Driver.pr_fns)
+      in
+      check (what ^ ": misses the program index") encoded;
+      check
+        (Printf.sprintf "%s: %d hit(s), %d miss(es), %d invalidation(s) (want 0 misses, %d invalidations)"
+           what s.Vcache.hits s.Vcache.misses s.Vcache.invalidations want)
+        (s.Vcache.misses = 0 && s.Vcache.invalidations = want && want < List.length (vcs_of r)
+        && s.Vcache.hits + want = List.length (vcs_of r));
+      check (what ^ ": verdict and digest of a cold run")
+        (r.Driver.pr_ok = reference.Driver.pr_ok
+        && r.Driver.pr_ok = cold.Driver.pr_ok
+        && digest r = digest reference))
+    [
+      ( "list_new renamed",
+        map_fn Bench_programs.singly_linked "list_new" (fun fd ->
+            { fd with Vir.fname = "list_new_renamed" }),
+        None );
+      ( "push_front touched",
+        map_fn Bench_programs.singly_linked "push_front" (fun fd ->
+            { fd with Vir.requires = fd.Vir.requires @ [ Vir.(v "x" <=: (v "x" +: i 1)) ] }),
+        Some "push_front" );
+    ];
   (* Corruption degrades to cold, repairs, then warms again. *)
   let path = Filename.concat dir Vcache.file_name in
   Out_channel.with_open_bin path (fun oc ->
@@ -283,13 +352,14 @@ let analyze () =
       let prog : Vir.program = mk () in
       List.iter
         (fun (p : Profiles.t) ->
+          let context_for = Driver.context_for p prog in
           List.iter
             (fun (fd : Vir.fndecl) ->
               if fd.Vir.fmode <> Vir.Spec && fd.Vir.body <> None then
                 List.iter
                   (fun (vc : Encode.vc) ->
                     incr checked;
-                    let hyps = Driver.context_for p prog vc @ vc.Encode.vc_hyps in
+                    let hyps = context_for vc @ vc.Encode.vc_hyps in
                     let r = Vflow.Prescreen.check ~hyps ~goal:vc.Encode.vc_goal () in
                     if r.Vflow.Prescreen.verdict = Vflow.Prescreen.Proved then begin
                       incr discharged;

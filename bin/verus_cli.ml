@@ -437,6 +437,7 @@ let cmd_analyze args =
   let total = ref 0 and proved = ref 0 in
   Printf.printf "== analyze: %s / %s (Vflow %s) ==\n" prog_name profile.Verus.Profiles.name
     Vflow.version;
+  let context_for = Verus.Driver.context_for profile prog in
   List.iter
     (fun (fd : Verus.Vir.fndecl) ->
       let vcs = Verus.Encode.encode_function profile prog fd in
@@ -444,7 +445,7 @@ let cmd_analyze args =
       List.iter
         (fun (vc : Verus.Encode.vc) ->
           incr total;
-          let context = Verus.Driver.context_for profile prog vc in
+          let context = context_for vc in
           let r =
             Vflow.Prescreen.check ~hyps:(context @ vc.Verus.Encode.vc_hyps)
               ~goal:vc.Verus.Encode.vc_goal ()

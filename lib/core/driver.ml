@@ -154,9 +154,12 @@ let prune_context ax_syms (vc : Encode.vc) =
   done;
   List.rev !included
 
-let context_for (p : Profiles.t) (prog : program) (vc : Encode.vc) =
+let context_for (p : Profiles.t) (prog : program) =
   let axioms = Encode.program_axioms p prog in
-  if p.Profiles.pruning then prune_context (axiom_syms axioms) vc else axioms
+  if p.Profiles.pruning then
+    let ax_syms = axiom_syms axioms in
+    fun vc -> prune_context ax_syms vc
+  else fun (_ : Encode.vc) -> axioms
 
 (* ------------------------------------------------------------------ *)
 (* VC dispatch                                                         *)
@@ -291,10 +294,42 @@ let next_rung env ~(budget : Smt.Solver.budget) ~stats ~prof i =
     if churn && rung_is_liberal env env.ev_rungs.(cand) then min (cand + 1) (n - 1)
     else cand
 
+(* A warm hit, whether [start_vc] or the program index found it: the
+   recorded solve verbatim (answer, detail, bytes, original solve time,
+   winning rung), so warm results are indistinguishable from the cold run
+   that filled the cache. *)
+let hit_result ~certify ~explicit ~prof ~prescreen_refuted name (e : Vcache.entry) =
+  let vcr_cert =
+    (* The digest makes the warm hit a checked claim: the filling run's
+       certificate replayed Checked before the entry was stored.  An
+       uncertified Unsat hit is unreachable under [certify] ({!Vcache.lookup}
+       gates on the digest) and flagged as VL034 material otherwise. *)
+    match (certify, e.Vcache.e_answer, e.Vcache.e_cert_digest) with
+    | true, Smt.Solver.Unsat, Some d -> Cert_cached d
+    | true, Smt.Solver.Unsat, None -> Cert_unavailable "cache hit without certificate"
+    | false, Smt.Solver.Unsat, None -> Cert_uncertified_hit
+    | _ -> Cert_off
+  in
+  {
+    vcr_name = name;
+    vcr_answer = e.Vcache.e_answer;
+    vcr_time_s = e.Vcache.e_time_s;
+    vcr_bytes = e.Vcache.e_bytes;
+    vcr_detail = e.Vcache.e_detail;
+    vcr_prof = prof;
+    vcr_cert;
+    vcr_source = Src_cache;
+    vcr_rung = (if explicit then e.Vcache.e_rung else None);
+    vcr_rungs_tried = [];
+    vcr_prescreen_refuted = prescreen_refuted;
+  }
+
 (* First half of an obligation: prescreen, profile-level context, cache
-   fingerprint and lookup.  Returns [Finished] when the prescreen or a
-   warm hit settles it, [Escalated] (attempt 0 still to run) otherwise. *)
-let start_vc env (vc : Encode.vc) : step =
+   fingerprint and lookup.  Returns the fingerprint ([None] without a
+   cache or after a prescreen discharge) and [Finished] when the
+   prescreen or a warm hit settles it, [Escalated] (attempt 0 still to
+   run) otherwise. *)
+let start_vc env (vc : Encode.vc) : string option * step =
   let t0 = Unix.gettimeofday () in
   let p = env.ev_p in
   let context =
@@ -321,7 +356,8 @@ let start_vc env (vc : Encode.vc) : step =
             vp_axioms = vp_axioms_of_context ~ax_index:env.ev_ax_index context;
           }
     in
-    Finished
+    ( None,
+      Finished
       {
         vcr_name = vc.Encode.vc_name;
         vcr_answer = Smt.Solver.Unsat;
@@ -339,7 +375,7 @@ let start_vc env (vc : Encode.vc) : step =
         vcr_rung = None;
         vcr_rungs_tried = [];
         vcr_prescreen_refuted = false;
-      }
+      } )
   | _ ->
   (* Fall through to SMT, carrying the prescreen's derived facts as extra
      ground hypotheses and dropping hypotheses whose path condition the
@@ -390,10 +426,7 @@ let start_vc env (vc : Encode.vc) : step =
   in
   match cached with
   | Some e ->
-    (* Hit: reproduce the recorded solve verbatim (answer, detail, bytes,
-       original solve time, winning rung) — warm results are
-       indistinguishable from the cold run that filled the cache. *)
-    let vcr_prof =
+    let prof =
       if not env.ev_profile then None
       else
         Some
@@ -402,31 +435,9 @@ let start_vc env (vc : Encode.vc) : step =
             vp_axioms = vp_axioms_of_context ~ax_index:env.ev_ax_index context;
           }
     in
-    let vcr_cert =
-      (* The digest makes the warm hit a checked claim: the filling run's
-         certificate replayed Checked before the entry was stored.  An
-         uncertified Unsat hit is unreachable under [certify] ({!Vcache.lookup}
-         gates on the digest) and flagged as VL034 material otherwise. *)
-      match (env.ev_certify, e.Vcache.e_answer, e.Vcache.e_cert_digest) with
-      | true, Smt.Solver.Unsat, Some d -> Cert_cached d
-      | true, Smt.Solver.Unsat, None -> Cert_unavailable "cache hit without certificate"
-      | false, Smt.Solver.Unsat, None -> Cert_uncertified_hit
-      | _ -> Cert_off
-    in
-    Finished
-      {
-        vcr_name = vc.Encode.vc_name;
-        vcr_answer = e.Vcache.e_answer;
-        vcr_time_s = e.Vcache.e_time_s;
-        vcr_bytes = e.Vcache.e_bytes;
-        vcr_detail = e.Vcache.e_detail;
-        vcr_prof;
-        vcr_cert;
-        vcr_source = Src_cache;
-        vcr_rung = (if explicit then e.Vcache.e_rung else None);
-        vcr_rungs_tried = [];
-        vcr_prescreen_refuted = prescreen_refuted;
-      }
+    ( fp,
+      Finished
+        (hit_result ~certify:env.ev_certify ~explicit ~prof ~prescreen_refuted vc.Encode.vc_name e) )
   | None ->
     let n = Array.length env.ev_rungs in
     (* The winning-rung jump: a prior run under this exact fingerprint
@@ -448,7 +459,8 @@ let start_vc env (vc : Encode.vc) : step =
       then prune_context env.ev_axiom_syms vc
       else []
     in
-    Escalated
+    ( fp,
+      Escalated
       {
         pd_vc = vc;
         pd_context = context;
@@ -463,7 +475,7 @@ let start_vc env (vc : Encode.vc) : step =
         pd_tried = [];
         pd_bytes = 0;
         pd_profs = [];
-      }
+      } )
 
 (* One solver attempt at rung [pd.pd_next].  [Unsat] at any rung is
    definitive — it was obtained from a subset of the full context under a
@@ -746,6 +758,115 @@ let aggregate_program_profile (p : Profiles.t) ~axioms (fns : fn_result list) :
   in
   { pp_smt; pp_axiom_costs; pp_vcs = List.length vc_profs }
 
+(* The encode-and-solve batch: every target function's obligations,
+   started, looked up and solved.  Returns the function verdicts in
+   program order and, per function, each obligation's fingerprint. *)
+let run_batch env ~pool ~emit ~profile targets =
+  let prog = env.ev_prog and p = env.ev_p in
+  (* Obligation scheduling.  One {!Verusd.Sched.batch} covers the
+     whole program: a per-function task encodes the function and then
+     submits one solve task per VC into the same batch; [Sched.await]
+     is the barrier.  The batch runs per [pool]: inline, on a
+     transient pool of [n] domains (the CLI's [--jobs]), or on the
+     caller's long-lived pool (the daemon's warm pool) — three
+     executions of the same code path, so verdicts and
+     {!result_digest} are identical whichever ran.
+
+     Encoding inside the scheduled task (rather than up front) is
+     load-bearing: proof certificates are sensitive to global
+     term-interning order, and keeping each function's encode
+     adjacent to its solves reproduces a sequential run's interning
+     layout (Sched's depth-first own-deque discipline does the same
+     under work stealing — see sched.mli).
+
+     Results are published by index: a worker writes [vc_out.(fi).(vi)]
+     and then counts down [remaining.(fi)] with an atomic RMW; the
+     worker that sees the count hit zero assembles the function verdict
+     (the atomic orders the writes, so it sees all of them).  Progress
+     events fire in the finishing worker's domain — [on_progress] must
+     be thread-safe when a pool is in play. *)
+  let fn_arr = Array.of_list targets in
+  let nfns = Array.length fn_arr in
+  let fn_out = Array.make nfns None in
+  let vc_out = Array.make nfns [||] in
+  let fp_out = Array.make nfns [||] in
+  let remaining = Array.map (fun _ -> Atomic.make 0) fn_out in
+  let b = Verusd.Sched.batch () in
+  let go submit =
+    (* A function's obligations form a sequential chain: finishing VC
+       [vi] submits VC [vi + 1].  The chain head is an ordinary
+       stealable task — obligations migrate between workers at VC
+       granularity (a long function does not hog its worker, which is
+       what keeps the daemon's burst queue latency flat) — but two VCs
+       of one function never run concurrently or out of order.  That
+       ordering is load-bearing: a function's solves share interned
+       terms, and racing their creation order perturbs the proof
+       certificates (term interning is layout-sensitive; see
+       sched.mli).
+
+       Escalation makes the chain dynamic: an attempt that must climb
+       resubmits itself as a fresh task ([`Resume]), so one stubborn
+       obligation's stronger retries overlap other chains' first
+       attempts instead of blocking a worker — but VC [vi]'s whole
+       climb still completes before [vi + 1] starts. *)
+    let rec solve_step fi vi vcs st () =
+      let step =
+        match st with
+        | `Start -> (
+          let fp, st = start_vc env vcs.(vi) in
+          fp_out.(fi).(vi) <- fp;
+          match st with Escalated pd -> attempt_vc env pd | fin -> fin)
+        | `Resume pd -> attempt_vc env pd
+      in
+      match step with
+      | Escalated pd -> submit (solve_step fi vi vcs (`Resume pd))
+      | Finished r ->
+        vc_out.(fi).(vi) <- Some r;
+        emit (Vc_done (fn_arr.(fi).fname, r));
+        (if vi + 1 < Array.length vcs then submit (solve_step fi (vi + 1) vcs `Start));
+        if Atomic.fetch_and_add remaining.(fi) (-1) = 1 then begin
+          let results = Array.to_list vc_out.(fi) |> List.filter_map Fun.id in
+          let fnr = fn_result_of_vcs fn_arr.(fi) ~profile results in
+          fn_out.(fi) <- Some fnr;
+          emit (Fn_done fnr)
+        end
+    in
+    let fn_task fi () =
+      let vcs = Array.of_list (Encode.encode_function p prog fn_arr.(fi)) in
+      if Array.length vcs = 0 then begin
+        (* Everything discharged during encoding. *)
+        let fnr = fn_result_of_vcs fn_arr.(fi) ~profile [] in
+        fn_out.(fi) <- Some fnr;
+        emit (Fn_done fnr)
+      end
+      else begin
+        vc_out.(fi) <- Array.make (Array.length vcs) None;
+        fp_out.(fi) <- Array.make (Array.length vcs) None;
+        Atomic.set remaining.(fi) (Array.length vcs);
+        (* The chain head lands on this worker's own deque head (or
+           runs inline on the sequential path), so the first solve
+           executes right after the encode unless stolen. *)
+        submit (solve_step fi 0 vcs `Start)
+      end
+    in
+    for fi = 0 to nfns - 1 do
+      submit (fn_task fi)
+    done;
+    Verusd.Sched.await b
+  in
+  (match pool with
+  | Config.Borrowed pool -> go (fun task -> Verusd.Sched.submit pool b task)
+  | Config.Domains n when nfns > 0 ->
+    (* Domains are not capped at the function count: obligations are
+       stolen at VC granularity, so extra domains still help a single
+       many-VC function. *)
+    let pool = Verusd.Sched.create ~domains:n in
+    Fun.protect
+      ~finally:(fun () -> Verusd.Sched.shutdown pool)
+      (fun () -> go (fun task -> Verusd.Sched.submit pool b task))
+  | Config.Inline | Config.Domains _ -> go (fun task -> Verusd.Sched.submit_now b task));
+  (Array.to_list fn_out |> List.filter_map Fun.id, fp_out)
+
 let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
     (prog : program) : program_result =
   let t0 = Unix.gettimeofday () in
@@ -788,124 +909,82 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
     }
   else begin
     let cache = Option.map Vcache.open_ cache_cfg in
-    let axioms = Encode.program_axioms p prog in
-    let ax_index = axiom_index_table axioms in
-    (* The steering signal: VL010's matching-loop verdicts over the
-       program's axiom set, computed once per run (only worth it when a
-       multi-rung ladder can actually steer). *)
-    let vl010 =
-      match ladder with
-      | Some l when Ladder.length l > 1 -> Vlint.vl010_heads (Vlint.check_axioms p axioms)
-      | _ -> []
-    in
-    let env =
-      make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 p prog ~axioms ~ax_index
-    in
     let targets =
       List.filter (fun fd -> fd.fmode <> Spec && fd.body <> None) prog.functions
     in
-    (* Obligation scheduling.  One {!Verusd.Sched.batch} covers the
-       whole program: a per-function task encodes the function and then
-       submits one solve task per VC into the same batch; [Sched.await]
-       is the barrier.  The batch runs per [config.pool]: inline, on a
-       transient pool of [n] domains (the CLI's [--jobs]), or on the
-       caller's long-lived pool (the daemon's warm pool) — three
-       executions of the same code path, so verdicts and
-       {!result_digest} are identical whichever ran.
-
-       Encoding inside the scheduled task (rather than up front) is
-       load-bearing: proof certificates are sensitive to global
-       term-interning order, and keeping each function's encode
-       adjacent to its solves reproduces a sequential run's interning
-       layout (Sched's depth-first own-deque discipline does the same
-       under work stealing — see sched.mli).
-
-       Results are published by index: a worker writes [vc_out.(fi).(vi)]
-       and then counts down [remaining.(fi)] with an atomic RMW; the
-       worker that sees the count hit zero assembles the function verdict
-       (the atomic orders the writes, so it sees all of them).  Progress
-       events fire in the finishing worker's domain — [on_progress] must
-       be thread-safe when a pool is in play. *)
     let emit ev = match on_progress with Some f -> f ev | None -> () in
-    let fn_arr = Array.of_list targets in
-    let nfns = Array.length fn_arr in
-    let fn_out = Array.make nfns None in
-    let vc_out = Array.make nfns [||] in
-    let remaining = Array.map (fun _ -> Atomic.make 0) fn_out in
-    let b = Verusd.Sched.batch () in
-    let go submit =
-      (* A function's obligations form a sequential chain: finishing VC
-         [vi] submits VC [vi + 1].  The chain head is an ordinary
-         stealable task — obligations migrate between workers at VC
-         granularity (a long function does not hog its worker, which is
-         what keeps the daemon's burst queue latency flat) — but two VCs
-         of one function never run concurrently or out of order.  That
-         ordering is load-bearing: a function's solves share interned
-         terms, and racing their creation order perturbs the proof
-         certificates (term interning is layout-sensitive; see
-         sched.mli).
-
-         Escalation makes the chain dynamic: an attempt that must climb
-         resubmits itself as a fresh task ([`Resume]), so one stubborn
-         obligation's stronger retries overlap other chains' first
-         attempts instead of blocking a worker — but VC [vi]'s whole
-         climb still completes before [vi + 1] starts. *)
-      let rec solve_step fi vi vcs st () =
-        let step =
-          match st with
-          | `Start -> (
-            match start_vc env vcs.(vi) with
-            | Escalated pd -> attempt_vc env pd
-            | fin -> fin)
-          | `Resume pd -> attempt_vc env pd
-        in
-        match step with
-        | Escalated pd -> submit (solve_step fi vi vcs (`Resume pd))
-        | Finished r ->
-          vc_out.(fi).(vi) <- Some r;
-          emit (Vc_done (fn_arr.(fi).fname, r));
-          (if vi + 1 < Array.length vcs then submit (solve_step fi (vi + 1) vcs `Start));
-          if Atomic.fetch_and_add remaining.(fi) (-1) = 1 then begin
-            let results = Array.to_list vc_out.(fi) |> List.filter_map Fun.id in
-            let fnr = fn_result_of_vcs fn_arr.(fi) ~profile results in
-            fn_out.(fi) <- Some fnr;
-            emit (Fn_done fnr)
-          end
-      in
-      let fn_task fi () =
-        let vcs = Array.of_list (Encode.encode_function p prog fn_arr.(fi)) in
-        if Array.length vcs = 0 then begin
-          (* Everything discharged during encoding. *)
-          let fnr = fn_result_of_vcs fn_arr.(fi) ~profile [] in
-          fn_out.(fi) <- Some fnr;
-          emit (Fn_done fnr)
-        end
-        else begin
-          vc_out.(fi) <- Array.make (Array.length vcs) None;
-          Atomic.set remaining.(fi) (Array.length vcs);
-          (* The chain head lands on this worker's own deque head (or
-             runs inline on the sequential path), so the first solve
-             executes right after the encode unless stolen. *)
-          submit (solve_step fi 0 vcs `Start)
-        end
-      in
-      for fi = 0 to nfns - 1 do
-        submit (fn_task fi)
-      done;
-      Verusd.Sched.await b
+    (* The program index (vcache.mli): an unprofiled cached run of a
+       program whose every obligation the snapshot can serve skips the
+       batch and encodes nothing.  The key covers everything encoding,
+       pruning and fingerprinting read; [certify] stays out of it, since
+       it changes no fingerprint, and [Vcache.serve] applies its gate. *)
+    let key =
+      match cache with
+      | Some _ when not profile ->
+        Some
+          (Vcache.program_key ~profile:p ~prog
+             ~ladder:(Option.map Ladder.fingerprint ladder)
+             ~analyze:(analyze && not certify))
+      | _ -> None
     in
-    (match pool with
-    | Config.Borrowed pool -> go (fun task -> Verusd.Sched.submit pool b task)
-    | Config.Domains n when nfns > 0 ->
-      (* Domains are not capped at the function count: obligations are
-         stolen at VC granularity, so extra domains still help a single
-         many-VC function. *)
-      let pool = Verusd.Sched.create ~domains:n in
-      Fun.protect
-        ~finally:(fun () -> Verusd.Sched.shutdown pool)
-        (fun () -> go (fun task -> Verusd.Sched.submit pool b task))
-    | Config.Inline | Config.Domains _ -> go (fun task -> Verusd.Sched.submit_now b task));
-    let results = Array.to_list fn_out |> List.filter_map Fun.id in
+    let served =
+      match (cache, key) with
+      | Some c, Some key -> Vcache.serve c ~key ~certified_wanted:certify
+      | _ -> None
+    in
+    let results, pr_prof =
+      match served with
+      | Some entries ->
+        let explicit = ladder <> None in
+        ( List.map2
+            (fun fd entries ->
+              let vcs =
+                List.map
+                  (fun (name, e) ->
+                    let r =
+                      hit_result ~certify ~explicit ~prof:None ~prescreen_refuted:false name e
+                    in
+                    emit (Vc_done (fd.fname, r));
+                    r)
+                  entries
+              in
+              let fnr = fn_result_of_vcs fd ~profile vcs in
+              emit (Fn_done fnr);
+              fnr)
+            targets entries,
+          None )
+      | None ->
+        let axioms = Encode.program_axioms p prog in
+        let ax_index = axiom_index_table axioms in
+        (* The steering signal: VL010's matching-loop verdicts over the
+           program's axiom set, computed once per run (only worth it when a
+           multi-rung ladder can actually steer). *)
+        let vl010 =
+          match ladder with
+          | Some l when Ladder.length l > 1 -> Vlint.vl010_heads (Vlint.check_axioms p axioms)
+          | _ -> []
+        in
+        let env =
+          make_env ~profile ~certify ~analyze ~cache ~ladder ~vl010 p prog ~axioms ~ax_index
+        in
+        let results, fps = run_batch env ~pool ~emit ~profile targets in
+        (* Record the run when the index could serve it again: every
+           obligation fingerprinted (none discharged by the prescreen) and
+           none carrying a prescreen advisory that a hit would repeat. *)
+        (match key with
+        | Some key -> (
+          let recorded fi fnr =
+            List.mapi
+              (fun vi v ->
+                match fps.(fi).(vi) with
+                | Some fp when not v.vcr_prescreen_refuted -> (v.vcr_name, fp)
+                | _ -> raise_notrace Exit)
+              fnr.fnr_vcs
+          in
+          try Vcache.remember ~key (List.mapi recorded results) with Exit -> ())
+        | None -> ());
+        (results, if profile then Some (aggregate_program_profile p ~axioms results) else None)
+    in
     let pr_cache =
       match cache with
       | None -> None
@@ -1029,8 +1108,7 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
       pr_bytes = List.fold_left (fun acc r -> acc + r.fnr_bytes) 0 results;
       pr_front_end_errors = [];
       pr_lint = lint_diags @ cache_lint @ prescreen_lint;
-      pr_prof =
-        (if profile then Some (aggregate_program_profile p ~axioms results) else None);
+      pr_prof;
       pr_cache;
       pr_ladder;
     }

@@ -271,7 +271,10 @@ end
 val context_for :
   Profiles.t -> Vir.program -> Encode.vc -> Smt.Term.t list
 (** Theory axioms + spec-function definitions for one VC, pruned to the
-    symbols reachable from the VC when the profile prunes. *)
+    symbols reachable from the VC when the profile prunes.  Staged:
+    [context_for p prog] builds the program's axioms and their symbol
+    sets once, so apply it to the program outside a loop over its
+    obligations. *)
 
 val verify_program :
   ?config:Config.t ->
@@ -307,7 +310,12 @@ val verify_program :
     [config.cache] opens the persistent VC cache before solving, serves
     hits from its load-time snapshot (statistics are deterministic on
     any pool), and atomically flushes new entries at the end;
-    [pr_cache] reports the counters. *)
+    [pr_cache] reports the counters.  An unprofiled cached run of a
+    program this process has verified before, under the same profile,
+    ladder and prescreen setting, is served whole through
+    {!Vcache.serve} when the snapshot serves every obligation: no
+    encoding, no batch, and the same results, events and counters as
+    the per-obligation path. *)
 
 val result_digest : program_result -> string
 (** Content digest of everything a verification run {e decided} — per-VC

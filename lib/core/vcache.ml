@@ -218,15 +218,17 @@ let open_ (cfg : config) : t =
     corrupt_load = p.p_corrupt;
   }
 
+(* Whether an entry may serve a run: an unprofiled entry cannot serve a
+   profiled run, nor an uncertified Unsat a certifying one. *)
+let serves ~profile_wanted ~certified_wanted e =
+  ((not profile_wanted) || e.e_profile <> None)
+  && ((not certified_wanted) || e.e_answer <> Smt.Solver.Unsat || e.e_cert_digest <> None)
+
 let lookup t ~name ~fp ~profile_wanted ~certified_wanted =
   Mutex.lock t.lock;
   let r =
     match Hashtbl.find_opt t.snapshot fp with
-    | Some (_, e)
-      when ((not profile_wanted) || e.e_profile <> None)
-           && ((not certified_wanted)
-              || e.e_answer <> Smt.Solver.Unsat
-              || e.e_cert_digest <> None) ->
+    | Some (_, e) when serves ~profile_wanted ~certified_wanted e ->
       t.hits <- t.hits + 1;
       Some e
     | Some _ ->
@@ -322,6 +324,69 @@ let flush t =
   r
 
 let clear ~dir = Vbase.Store.wipe ~dir ~file:file_name
+
+(* ----- program index ----- *)
+
+(* Marshalled without sharing, structurally equal values give equal
+   bytes; profiles and programs are trees without closures.  The key
+   never leaves the process, so the marshal format may change with the
+   compiler. *)
+let program_key ~(profile : Profiles.t) ~(prog : Vir.program) ~(ladder : string option)
+    ~(analyze : bool) =
+  Vbase.Hash.string128 (Marshal.to_string (profile, prog, ladder, analyze) [ Marshal.No_sharing ])
+
+(* Program key -> per target function, its obligations' (name,
+   fingerprint) pairs, with the clock tick of its last use.  Bounded; the
+   least recently used key goes first, which costs only one ordinary run
+   should it come back. *)
+let index_capacity = 64
+let index_lock = Mutex.create ()
+let index : (string, (string * string) list list * int ref) Hashtbl.t = Hashtbl.create index_capacity
+let index_clock = ref 0
+
+let tick used =
+  incr index_clock;
+  used := !index_clock
+
+let remember ~key recorded =
+  Mutex.protect index_lock (fun () ->
+      if (not (Hashtbl.mem index key)) && Hashtbl.length index >= index_capacity then begin
+        let oldest =
+          Hashtbl.fold
+            (fun k (_, used) acc ->
+              match acc with Some (_, u) when u <= !used -> acc | _ -> Some (k, !used))
+            index None
+        in
+        Option.iter (fun (k, _) -> Hashtbl.remove index k) oldest
+      end;
+      let used = ref 0 in
+      tick used;
+      Hashtbl.replace index key (recorded, used))
+
+exception Unservable
+
+let serve t ~key ~certified_wanted =
+  let recorded =
+    Mutex.protect index_lock (fun () ->
+        match Hashtbl.find_opt index key with
+        | Some (recorded, used) ->
+          tick used;
+          Some recorded
+        | None -> None)
+  in
+  Option.bind recorded (fun recorded ->
+      Mutex.protect t.lock (fun () ->
+          (* Every fingerprint passes [lookup]'s gate, or no counter moves. *)
+          let entry (name, fp) =
+            match Hashtbl.find_opt t.snapshot fp with
+            | Some (_, e) when serves ~profile_wanted:false ~certified_wanted e -> (name, e)
+            | _ -> raise_notrace Unservable
+          in
+          match List.map (List.map entry) recorded with
+          | exception Unservable -> None
+          | entries ->
+            t.hits <- t.hits + List.fold_left (fun n es -> n + List.length es) 0 entries;
+            Some entries))
 
 (* ----- fingerprinting ----- *)
 

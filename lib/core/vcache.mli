@@ -45,7 +45,14 @@
     hashes it in place ({!Smt.Canon.digest}); the text of each context
     axiom (any term naming no fresh symbol) is rendered once per domain
     and copied after that, from a table keyed on the term through an
-    ephemeron, so it never keeps a term alive. *)
+    ephemeron, so it never keeps a term alive.
+
+    A re-check of an unchanged program costs less still: a lookup is in
+    two steps.  The {!section-program_index} maps a digest of the whole
+    program, profile and run salts to the fingerprints a previous run of
+    it computed, and {!serve} answers every obligation from the snapshot
+    without encoding anything; any other run looks each obligation up
+    after fingerprinting it. *)
 
 val schema_version : string
 (** ["verus-cache/1"] — the on-disk document schema. *)
@@ -153,6 +160,38 @@ val flush : t -> (unit, string) result
 
 val clear : dir:string -> (unit, string) result
 (** Delete the store document (keeps the directory). *)
+
+(** {1:program_index Program index}
+
+    The per-obligation path above still encodes, prunes and fingerprints
+    every obligation before its lookup.  The program index lets a re-check
+    of an unchanged program skip all of that.  It maps a {e program key}
+    to the [(vc name, fingerprint)] pairs a run of that program computed,
+    per target function in program order.  The key covers everything
+    encoding, pruning and {!fingerprint} read, so equal keys mean equal
+    lists.  The index decides only whether encoding can be skipped: every
+    answer still comes from the snapshot, through {!lookup}'s gate.  It
+    lives in the process, holds at most 64 keys (least recently used
+    first out) and is safe across domains. *)
+
+val program_key :
+  profile:Profiles.t -> prog:Vir.program -> ladder:string option -> analyze:bool -> string
+(** 128-bit digest of the marshalled [(profile, prog, ladder, analyze)]:
+    the whole profile and program, the {!Vladder.Ladder.fingerprint} of an
+    explicit ladder, and whether the prescreen runs (after its demotion
+    under [--certify]). *)
+
+val remember : key:string -> (string * string) list list -> unit
+(** Record what a run fingerprinted: per target function, its
+    obligations' [(vc name, fingerprint)] pairs in order.  Only a run that
+    fingerprinted every obligation may record. *)
+
+val serve : t -> key:string -> certified_wanted:bool -> (string * entry) list list option
+(** The snapshot entries of every obligation recorded under [key], in the
+    same shape, when every one of them exists and passes {!lookup}'s gate
+    for an unprofiled run; each then counts as a hit.  [None], with no
+    counter moved, when the key is unknown or any entry is missing or
+    gated out. *)
 
 (** Offline summary of a cache directory, for [verus_cli cache stats]. *)
 type disk_stats = {

@@ -34,7 +34,11 @@ type budget = {
           chains, like Dafny's fuel) *)
   sat_conflict_budget : int;  (** cumulative CDCL conflict budget *)
   bb_budget : int;  (** LIA branch-and-bound node budget per check *)
-  combination_pairs_per_round : int;  (** cross-theory equality guesses *)
+  combination_pairs_per_round : int;
+      (** switches theory combination's split step: [0] turns it off, and
+          any positive value allows one split (one cross-theory equality
+          guess) per round.  An [int] because {!budget_fingerprint} prints
+          it into every cache key *)
   ring_pairs_budget : int;
       (** S-polynomial pair budget of the [integer_ring] mode's
           Gröbner-basis completion *)

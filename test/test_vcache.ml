@@ -5,7 +5,9 @@
    behavior, corruption tolerance (truncated documents, wrong schema
    tags, malformed entries — all degrade to misses, never failures),
    reuse of a parsed store (only for the same bytes, with the counters a
-   fresh parse reports), fingerprint stability, including independence
+   fresh parse reports), the program index (a warm run it serves equals
+   the per-obligation warm path and encodes nothing; edits, --certify and
+   a lost store fall back), fingerprint stability, including independence
    from what the process encoded before, and golden fingerprints pinned
    as literal hex. *)
 
@@ -137,13 +139,37 @@ let test_matrix () =
 (* Determinism under jobs > 1                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The id the next new term gets: a run that mints no term leaves it one
+   above the previous probe's.  Every path that encodes mints terms (VC
+   generation freshens names); a run the program index serves mints
+   none. *)
+let next_term_id () = (Smt.Term.const (Smt.Term.Sym.fresh "probe" [] Smt.Sort.Int)).Smt.Term.tid
+
+let minting f =
+  let before = next_term_id () in
+  let r = f () in
+  (r, next_term_id () > before + 1)
+
+(* [program ()] plus an unused uninterpreted spec function named [tag]: a
+   program the index has not seen, with no new axiom or obligation, so
+   every obligation hits and the digest is [program ()]'s.  Warm runs on
+   it take the scheduled path. *)
+let unseen tag =
+  let base = program () in
+  {
+    base with
+    functions = base.functions @ [ fn ("unused_" ^ tag) ~mode:Spec ~params:[ p "x" int_ ] ~ret:("result", int_) ];
+  }
+
 let test_jobs_determinism () =
   let dir = fresh_dir () in
   let cold = run ~jobs:2 dir (program ()) in
   let cs = cstats cold in
   Alcotest.(check bool) "parallel cold verifies" true cold.Driver.pr_ok;
-  let warm1 = run ~jobs:1 dir (program ()) in
-  let warm3 = run ~jobs:3 dir (program ()) in
+  let warm1, encoded1 = minting (fun () -> run ~jobs:1 dir (unseen "jobs1")) in
+  let warm3, encoded3 = minting (fun () -> run ~jobs:3 dir (unseen "jobs3")) in
+  Alcotest.(check bool) "jobs=1 warm run is scheduled" true encoded1;
+  Alcotest.(check bool) "jobs=3 warm run is scheduled" true encoded3;
   let w1 = cstats warm1 and w3 = cstats warm3 in
   Alcotest.(check int) "jobs=1 and jobs=3 hits agree" w1.Vcache.hits w3.Vcache.hits;
   Alcotest.(check int) "warm hits everything the cold run missed" cs.Vcache.misses w1.Vcache.hits;
@@ -658,6 +684,191 @@ let test_reuse_floats () =
   let e = expect_hit (Vcache.open_ { Vcache.dir }) "k" "flushed entry is served again" in
   Alcotest.(check (float 0.0)) "and stays so on a reused open" on_disk e.Vcache.e_time_s
 
+(* ------------------------------------------------------------------ *)
+(* The program index                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A run and the progress events it streamed, in order. *)
+let run_events config pf prog =
+  let events = ref [] in
+  let r = Driver.verify_program ~config ~on_progress:(fun ev -> events := ev :: !events) pf prog in
+  (r, List.rev !events)
+
+(* The programs whose full-budget solves take seconds to minutes run with
+   a capped budget; the index is about warm runs, which read whatever the
+   cold run stored. *)
+let test_profile name (pf : Profiles.t) =
+  if List.mem name [ "mem4"; "mem8"; "break_index" ] then
+    Profiles.with_budget
+      { (Profiles.budget pf) with Smt.Solver.deadline_s = 0.1; max_rounds = 1 }
+      pf
+  else pf
+
+(* Cold with profiling on, which the index never records, so the first
+   warm run takes today's per-obligation path; the second is served by
+   the index.  The two warm runs must agree in everything a caller sees,
+   and with the cold run in everything it decided.  The profile is
+   renamed after [tag]: the name is in the program key but in no
+   fingerprint, so no earlier case's record can serve the first warm
+   run. *)
+let check_equivalent ~tag config (pf : Profiles.t) prog =
+  let pf = { pf with Profiles.name = tag } in
+  let dir = fresh_dir () in
+  let config = { config with Driver.Config.cache = Some { Vcache.dir } } in
+  let cold = Driver.verify_program ~config:{ config with Driver.Config.profile = true } pf prog in
+  let (warm, warm_events), warm_encoded = minting (fun () -> run_events config pf prog) in
+  let (index, index_events), index_encoded = minting (fun () -> run_events config pf prog) in
+  let check what = Alcotest.(check bool) (tag ^ ": " ^ what) true in
+  check "the first warm run is scheduled" warm_encoded;
+  check "the second warm run is served by the index" (not index_encoded);
+  check "same functions and obligations" (warm.Driver.pr_fns = index.Driver.pr_fns);
+  check "same events" (warm_events = index_events);
+  check "same cache counters" (warm.Driver.pr_cache = index.Driver.pr_cache);
+  check "same lints" (warm.Driver.pr_lint = index.Driver.pr_lint);
+  check "same ladder summary" (warm.Driver.pr_ladder = index.Driver.pr_ladder);
+  check "same verdict" (warm.Driver.pr_ok = index.Driver.pr_ok);
+  Alcotest.(check string) (tag ^ ": index digest equals cold digest") (Driver.result_digest cold)
+    (Driver.result_digest index);
+  let vcs r = List.concat_map (fun f -> f.Driver.fnr_vcs) r.Driver.pr_fns in
+  let cert_digest = function
+    | Driver.Cert_checked d | Driver.Cert_cached d -> Some d
+    | _ -> None
+  in
+  List.iter2
+    (fun (c : Driver.vc_result) (i : Driver.vc_result) ->
+      check ("replays " ^ c.Driver.vcr_name)
+        (c.Driver.vcr_name = i.Driver.vcr_name
+        && c.Driver.vcr_answer = i.Driver.vcr_answer
+        && c.Driver.vcr_detail = i.Driver.vcr_detail
+        && c.Driver.vcr_bytes = i.Driver.vcr_bytes
+        && c.Driver.vcr_rung = i.Driver.vcr_rung
+        && cert_digest c.Driver.vcr_cert = cert_digest i.Driver.vcr_cert
+        && i.Driver.vcr_source = Driver.Src_cache))
+    (vcs cold) (vcs index);
+  let st = cstats index in
+  check "every obligation hits" (st.Vcache.hits = List.length (vcs cold) && st.Vcache.misses = 0)
+
+let test_index_equivalence () =
+  let lint = Driver.Config.with_lint Driver.Lint_warn Driver.Config.default in
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun (pf : Profiles.t) ->
+          List.iter
+            (fun certify ->
+              check_equivalent
+                ~tag:(Printf.sprintf "%s/%s%s" name pf.Profiles.name (if certify then "/certify" else ""))
+                (Driver.Config.with_certify certify lint)
+                (test_profile name pf) (mk ()))
+            [ false; true ])
+        [ Profiles.verus; Profiles.dafny ])
+    Vservice.programs;
+  List.iter
+    (fun (name, pf) ->
+      check_equivalent ~tag:(name ^ "/escalate")
+        (Driver.Config.with_ladder Driver.Ladder.escalate lint)
+        pf
+        (match Vservice.find_program name with Ok p -> p | Error e -> Alcotest.fail e))
+    [ ("singly_linked", Profiles.dafny); ("break_pop", Profiles.verus) ]
+
+(* Each test below verifies a program of its own, so no other test's
+   record can serve it.  [broken prog]: [other] returns [y - 1], which
+   breaks its [result >= y]. *)
+let broken (base : program) =
+  {
+    base with
+    functions =
+      List.map
+        (fun fd -> if fd.fname = "other" then { fd with body = Some [ SReturn (Some (v "y" -: i 1)) ] } else fd)
+        base.functions;
+  }
+
+let test_index_edit () =
+  let dir = fresh_dir () and prog = unseen "edit" in
+  ignore (run dir prog);
+  let warm, encoded = minting (fun () -> run dir prog) in
+  Alcotest.(check bool) "the warm run is served by the index" false encoded;
+  Alcotest.(check bool) "the warm run verifies" true warm.Driver.pr_ok;
+  let r = run dir (broken prog) in
+  Alcotest.(check bool) "the broken edit fails" false r.Driver.pr_ok;
+  match Driver.first_failure r with
+  | Some (fn, _, code) ->
+    Alcotest.(check (pair string string)) "as a refutation of other" ("other", "VC001") (fn, code)
+  | None -> Alcotest.fail "no failure reported"
+
+let test_index_certify () =
+  let dir = fresh_dir () and prog = unseen "certify" in
+  let cold = run dir prog in
+  let n = (cstats cold).Vcache.misses in
+  let _, encoded = minting (fun () -> run dir prog) in
+  Alcotest.(check bool) "the uncertified warm run is served by the index" false encoded;
+  let certified () =
+    Driver.verify_program
+      ~config:Driver.Config.(default |> with_cache dir |> with_certify true)
+      Profiles.verus prog
+  in
+  let certs r =
+    List.concat_map (fun f -> List.map (fun v -> v.Driver.vcr_cert) f.Driver.fnr_vcs) r.Driver.pr_fns
+  in
+  let c = certified () in
+  let s = cstats c in
+  Alcotest.(check int) "--certify re-solves every uncertified Unsat" n s.Vcache.misses;
+  Alcotest.(check int) "and stores it" n s.Vcache.stores;
+  Alcotest.(check bool) "every certificate is checked" true
+    (List.for_all (function Driver.Cert_checked _ -> true | _ -> false) (certs c));
+  let again, encoded = minting certified in
+  Alcotest.(check bool) "the next certified run is served by the index" false encoded;
+  Alcotest.(check int) "from the certified entries" n (cstats again).Vcache.hits;
+  Alcotest.(check bool) "every certificate comes from the cache" true
+    (List.for_all (function Driver.Cert_cached _ -> true | _ -> false) (certs again))
+
+let test_index_store_lost () =
+  let dir = fresh_dir () and prog = unseen "store-lost" in
+  let cold = run dir prog in
+  let n = (cstats cold).Vcache.misses in
+  let _, encoded = minting (fun () -> run dir prog) in
+  Alcotest.(check bool) "the warm run is served by the index" false encoded;
+  let degrade what =
+    let r = run dir prog in
+    let s = cstats r in
+    Alcotest.(check (pair int int)) (what ^ ": a full cold run") (0, n) (s.Vcache.hits, s.Vcache.misses);
+    Alcotest.(check bool) (what ^ ": verifies") true r.Driver.pr_ok;
+    Alcotest.(check string) (what ^ ": cold digest") (Driver.result_digest cold) (Driver.result_digest r);
+    s
+  in
+  (match Vcache.clear ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+  ignore (degrade "cleared store");
+  write_file (store_path dir) "{ \"schema\": \"verus-cache/1\", \"entries\": { torn";
+  let s = degrade "corrupt store" in
+  Alcotest.(check bool) "corruption is reported" true s.Vcache.corrupt_load
+
+let test_index_mints_nothing () =
+  let dir = fresh_dir () and prog = unseen "mint" in
+  let _, cold_encoded = minting (fun () -> run dir prog) in
+  Alcotest.(check bool) "a cold run mints terms" true cold_encoded;
+  let before = next_term_id () in
+  let warm = run dir prog in
+  Alcotest.(check int) "a warm index hit mints no term" (before + 1) (next_term_id ());
+  Alcotest.(check int) "and serves every obligation" (cstats warm).Vcache.hits
+    (List.length (List.concat_map (fun f -> f.Driver.fnr_vcs) warm.Driver.pr_fns));
+  let _, renamed_encoded = minting (fun () -> run dir (program ~other_name:"renamed_mint" ())) in
+  Alcotest.(check bool) "a program the index has not seen is encoded" true renamed_encoded
+
+(* The index holds 64 keys (vcache.mli) and drops the least recently
+   used first.  Keys recorded with no function serve trivially. *)
+let test_index_bounded () =
+  let h = Vcache.open_ { Vcache.dir = fresh_dir () } in
+  let key i = Printf.sprintf "lru-%d" i in
+  let served i = Vcache.serve h ~key:(key i) ~certified_wanted:false <> None in
+  for i = 0 to 63 do
+    Vcache.remember ~key:(key i) []
+  done;
+  Alcotest.(check bool) "a full index serves its oldest key" true (served 0);
+  Vcache.remember ~key:(key 64) [];
+  Alcotest.(check bool) "the least recently used key goes first" false (served 1);
+  Alcotest.(check bool) "a key used since stays" true (served 0);
+  Alcotest.(check bool) "the newest key is served" true (served 64)
+
 let () =
   Alcotest.run "vcache"
     [
@@ -682,6 +893,15 @@ let () =
           Alcotest.test_case "same-size rewrite" `Quick test_reuse_same_size;
           Alcotest.test_case "counters equal a fresh parse" `Quick test_reuse_counters;
           Alcotest.test_case "floats as on disk" `Quick test_reuse_floats;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "equals the per-obligation warm path" `Quick test_index_equivalence;
+          Alcotest.test_case "a breaking edit fails" `Quick test_index_edit;
+          Alcotest.test_case "--certify after an uncertified fill" `Quick test_index_certify;
+          Alcotest.test_case "lost store degrades to cold" `Quick test_index_store_lost;
+          Alcotest.test_case "mints no terms" `Quick test_index_mints_nothing;
+          Alcotest.test_case "bounded, least recently used first" `Quick test_index_bounded;
         ] );
       ( "fingerprint",
         [
